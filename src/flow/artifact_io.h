@@ -12,8 +12,7 @@
 //   bytes 5-12   fingerprint, little-endian u64: hash of everything the
 //                artifact is a deterministic function of — the netlist
 //                text, the grid, and every result-relevant option of this
-//                stage and its upstream stages (thread counts are excluded:
-//                the engines are thread-count-invariant by contract)
+//                stage and its upstream stages
 //   bytes 13-20  content hash, little-endian u64 (FNV-1a over the packed
 //                payload bytes, then the bit length)
 //   bytes 21-28  payload bit count, little-endian u64
@@ -21,10 +20,9 @@
 //
 // Readers verify magic, version, stage tag, fingerprint and content hash
 // and throw ArtifactError on any mismatch, so a stale, truncated or
-// foreign checkpoint can never be silently resumed. Scheduling-dependent
-// diagnostics (wall times, speculation counters, threads_used) are NOT
-// part of any payload: an artifact saved by a parallel run is byte-
-// identical to one saved by a serial run.
+// foreign checkpoint can never be silently resumed. Wall times are NOT
+// part of any payload, so two runs with the same inputs save byte-
+// identical artifacts.
 #pragma once
 
 #include <bit>
@@ -38,6 +36,7 @@
 #include "route/router.h"
 #include "util/bitio.h"
 #include "util/bitvector.h"
+#include "util/hash.h"
 
 namespace vbs {
 
@@ -60,19 +59,6 @@ enum class ArtifactStage : std::uint8_t {
   kMeta = 4,
   kServiceSnapshot = 5,  ///< ReconfigService journal snapshot (journal.h)
 };
-
-// --- hashing -----------------------------------------------------------------
-
-inline constexpr std::uint64_t kFnvOffset64 = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnvPrime64 = 0x100000001b3ull;
-
-/// FNV-1a over a byte range, continuing from `h`.
-std::uint64_t fnv1a64(const void* data, std::size_t n,
-                      std::uint64_t h = kFnvOffset64);
-
-/// Folds one 64-bit value into a running FNV-1a hash (8 bytes, LE order).
-std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v);
-std::uint64_t hash_double(std::uint64_t h, double v);
 
 // --- payload field primitives ------------------------------------------------
 
@@ -111,17 +97,15 @@ inline double get_f64(BitReader& r) {
 BitVector serialize_packed(const PackedDesign& pd);
 PackedDesign deserialize_packed(const BitVector& bits);
 
-/// Placement plus the deterministic PlaceStats fields (costs, moves,
-/// accepted, temperatures, cost_drift). Scheduling diagnostics
-/// (spec_commits/spec_rejected/threads_used) are not stored.
+/// Placement plus the PlaceStats fields (costs, moves, accepted,
+/// temperatures, cost_drift).
 BitVector serialize_placement(const Placement& pl, const PlaceStats& stats);
 void deserialize_placement(const BitVector& bits, Placement* pl,
                            PlaceStats* stats);
 
-/// RoutingResult minus the scheduling-dependent diagnostics: success,
-/// iterations, trees, wire/overuse totals, heap_pops and bbox_retries are
-/// stored; threads_used, spec_* and the per-iteration wall-time log are
-/// not.
+/// RoutingResult minus the per-iteration log: success, iterations, trees,
+/// wire/overuse totals, heap_pops and bbox_retries are stored;
+/// iter_stats (which carries wall times) is not.
 BitVector serialize_routing(const RoutingResult& rr);
 RoutingResult deserialize_routing(const BitVector& bits);
 

@@ -7,6 +7,7 @@
 #include "netlist/netlist_io.h"
 #include "route/route_request.h"
 #include "util/bitio.h"
+#include "util/hash.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -64,14 +65,7 @@ std::uint64_t FlowPipeline::netlist_hash() const {
 PlaceOptions FlowPipeline::resolved_place_options() const {
   PlaceOptions popts = opts_.place;
   if (popts.seed == 0) popts.seed = opts_.seed;  // 0 = inherit the flow seed
-  if (popts.threads == 0) popts.threads = opts_.threads;  // 0 = inherit
   return popts;
-}
-
-RouterOptions FlowPipeline::resolved_route_options() const {
-  RouterOptions ropts = opts_.route;
-  if (ropts.threads == 0) ropts.threads = opts_.threads;  // 0 = inherit
-  return ropts;
 }
 
 std::uint64_t FlowPipeline::base_fingerprint() const {
@@ -86,10 +80,7 @@ std::uint64_t FlowPipeline::base_fingerprint() const {
 
 std::uint64_t FlowPipeline::stage_fingerprint(Stage s) const {
   // Chain: every stage's fingerprint covers its own result-relevant
-  // options plus everything upstream. Thread counts and speculation batch
-  // sizes are deliberately excluded — both engines are thread-count-
-  // invariant, so a serial and a parallel run produce interchangeable
-  // artifacts.
+  // options plus everything upstream.
   std::uint64_t h = hash_u64(base_fingerprint(), static_cast<std::uint64_t>(s));
   if (s == Stage::kPack) return h;
   h = hash_u64(h, stage_fingerprint(Stage::kPack));
@@ -201,7 +192,7 @@ void FlowPipeline::run_stage(Stage s) {
       log_info("routing " + nl_.name + " at W=" +
                std::to_string(opts_.arch.chan_width));
       PathfinderRouter router(*fabric_, request_);
-      routing_ = router.route(resolved_route_options());
+      routing_ = router.route(opts_.route);
       log_info("routing " +
                std::string(routing_.success ? "converged" : "FAILED") +
                " after " + std::to_string(routing_.iterations) +
@@ -289,12 +280,10 @@ BitVector FlowPipeline::serialize_meta() const {
   put_i32(w, opts_.arch.lut_k);
   w.write(static_cast<std::uint64_t>(opts_.arch.sb_pattern), 8);
   w.write(opts_.seed, 64);
-  put_i32(w, opts_.threads);
   w.write(opts_.place.seed, 64);
   put_f64(w, opts_.place.effort);
   put_i32(w, opts_.place.io_per_tile);
   w.write_bit(opts_.place.incremental_bbox);
-  put_i32(w, opts_.place.threads);
   put_i32(w, opts_.route.max_iterations);
   put_f64(w, opts_.route.first_iter_pres);
   put_f64(w, opts_.route.initial_pres);
@@ -309,8 +298,6 @@ BitVector FlowPipeline::serialize_meta() const {
   // route.precomputed_cost is NOT serialized: it is identity-preserving
   // (resumed flows behave the same either way) and adding it would change
   // every existing checkpoint's metadata bytes.
-  put_i32(w, opts_.route.threads);
-  put_i32(w, opts_.route.spec_batch_per_thread);
   put_i32(w, encode_opts_.cluster);
   put_i32(w, encode_opts_.reorder_attempts);
   w.write(encode_opts_.seed, 64);
@@ -341,12 +328,10 @@ MetaContents parse_meta(const BitVector& bits) {
   if (sb > 1) throw ArtifactError("flow.meta: bad sb_pattern");
   m.opts.arch.sb_pattern = static_cast<SbPattern>(sb);
   m.opts.seed = r.read(64);
-  m.opts.threads = get_i32(r);
   m.opts.place.seed = r.read(64);
   m.opts.place.effort = get_f64(r);
   m.opts.place.io_per_tile = get_i32(r);
   m.opts.place.incremental_bbox = r.read_bit();
-  m.opts.place.threads = get_i32(r);
   m.opts.route.max_iterations = get_i32(r);
   m.opts.route.first_iter_pres = get_f64(r);
   m.opts.route.initial_pres = get_f64(r);
@@ -358,8 +343,6 @@ MetaContents parse_meta(const BitVector& bits) {
   m.opts.route.bounded_box = r.read_bit();
   m.opts.route.bb_margin = get_i32(r);
   m.opts.route.incremental_reroute = r.read_bit();
-  m.opts.route.threads = get_i32(r);
-  m.opts.route.spec_batch_per_thread = get_i32(r);
   m.eopts.cluster = get_i32(r);
   m.eopts.reorder_attempts = get_i32(r);
   m.eopts.seed = r.read(64);

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -78,8 +77,11 @@ int RpcServer::start() {
 void RpcServer::stop() {
   std::lock_guard<std::mutex> guard(stop_mutex_);
   if (service_thread_.joinable()) {
-    service_stop_.store(true, std::memory_order_release);
-    service_cv_.notify_one();
+    {
+      std::lock_guard<std::mutex> lk(service_mutex_);
+      service_stop_.store(true, std::memory_order_release);
+      service_cv_.notify_one();
+    }
     service_thread_.join();
   }
   if (loop_thread_.joinable()) {
@@ -340,6 +342,9 @@ void RpcServer::handle_request(Session& s, const Frame& f) {
 
 bool RpcServer::push_op(ServiceOp op) {
   if (!ops_.push(std::move(op))) return false;
+  // Notify under the mutex the service thread re-checks the ring under:
+  // a push can then never fall between its check and its wait unseen.
+  std::lock_guard<std::mutex> lk(service_mutex_);
   service_cv_.notify_one();
   return true;
 }
@@ -436,7 +441,6 @@ void RpcServer::post_frame(std::uint64_t conn_id, FrameType type,
 
 void RpcServer::service_main() {
   TELEM_SPAN("rpc", "server.service");
-  using namespace std::chrono_literals;
   while (!service_stop_.load(std::memory_order_acquire)) {
     ServiceOp op;
     bool any = false;
@@ -457,7 +461,10 @@ void RpcServer::service_main() {
         service_drain(0, 0, /*send_ack=*/false);
       } else {
         std::unique_lock<std::mutex> lk(service_mutex_);
-        service_cv_.wait_for(lk, 1ms);
+        service_cv_.wait(lk, [this] {
+          return !ops_.empty() ||
+                 service_stop_.load(std::memory_order_acquire);
+        });
       }
     }
   }

@@ -195,6 +195,8 @@ class RpcServer {
 
   // loop -> service
   net::MpscRing<ServiceOp> ops_;
+  /// The service thread sleeps on service_cv_ until ops_ is non-empty or
+  /// service_stop_ is set; every push and stop notifies under this mutex.
   std::mutex service_mutex_;
   std::condition_variable service_cv_;
 

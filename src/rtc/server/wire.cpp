@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "flow/artifact_io.h"
+#include "util/hash.h"
+
 namespace vbs::rpc {
 
 namespace {

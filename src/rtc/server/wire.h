@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <string>
 
-#include "flow/artifact_io.h"
 #include "rtc/service/service.h"
 #include "util/bitvector.h"
 #include "util/error.h"

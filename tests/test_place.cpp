@@ -1,6 +1,5 @@
-// Placer tests: legality, determinism, cost improvement, I/O assignment,
-// schedule accounting, and parallel-vs-serial identity of the batched
-// speculate/validate/commit engine.
+// Placer tests: legality, determinism, cost improvement, I/O assignment
+// and schedule accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,40 +148,6 @@ TEST(Place, MovesCountOnlyEvaluatedProposals) {
   EXPECT_LE(stats.accepted, stats.moves);
   EXPECT_LT(stats.moves, (trip_count * 99) / 100)
       << "skipped slots are being counted as proposals";
-}
-
-TEST(Place, ParallelMatchesSerial) {
-  // The batched speculate/validate/commit engine promises byte-identical
-  // placement, stats and cost_drift at any thread count; the speculation
-  // diagnostics are the only fields allowed to differ.
-  Fixture f(120, 7);
-  PlaceOptions o;
-  o.seed = 5;
-  PlaceStats ref;
-  const Placement a = place_design(f.nl, f.pd, f.spec, 12, 12, o, &ref);
-  EXPECT_EQ(ref.threads_used, 1);
-  EXPECT_EQ(ref.spec_commits, 0);
-  EXPECT_EQ(ref.spec_rejected, 0);
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE(threads);
-    PlaceOptions op = o;
-    op.threads = threads;
-    PlaceStats s;
-    const Placement b = place_design(f.nl, f.pd, f.spec, 12, 12, op, &s);
-    EXPECT_EQ(a.lut_loc, b.lut_loc);
-    ASSERT_EQ(a.io_loc.size(), b.io_loc.size());
-    for (std::size_t i = 0; i < a.io_loc.size(); ++i) {
-      EXPECT_EQ(a.io_loc[i], b.io_loc[i]) << "I/O " << i;
-    }
-    EXPECT_EQ(s.threads_used, threads);
-    EXPECT_EQ(s.moves, ref.moves);
-    EXPECT_EQ(s.accepted, ref.accepted);
-    EXPECT_EQ(s.temperatures, ref.temperatures);
-    EXPECT_EQ(s.initial_cost, ref.initial_cost);
-    EXPECT_EQ(s.final_cost, ref.final_cost);
-    EXPECT_EQ(s.cost_drift, ref.cost_drift);
-    EXPECT_GT(s.spec_commits, 0);
-  }
 }
 
 TEST(Place, IncrementalCostDriftWithinTolerance) {

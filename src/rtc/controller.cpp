@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "util/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace vbs {
 
@@ -53,68 +53,21 @@ void ReconfigController::decode_into(const VbsImage& img, Point origin,
   }
   telem::Span span("rtc", "decode");
   const std::uint64_t t0 = telem::now_ns();
-  const std::size_t n = img.entries.size();
-  std::vector<BitVector> payloads(n);
-  std::vector<DecodeStats> stats(std::max(1, threads));
-  std::vector<std::string> errors(std::max(1, threads));
-
-  // Decode phase: entries are independent (the de-virtualization process
-  // "can be easily parallelized to process multiple macros at once",
-  // paper Section II-C). Each worker owns its region-model cache.
-  auto worker = [&](int tid, std::size_t begin, std::size_t end) {
-    try {
-      RegionDecoderCache cache(img.spec, img.cluster, img.task_w, img.task_h);
-      for (std::size_t i = begin; i < end; ++i) {
-        const VbsEntry& e = img.entries[i];
-        if (!cache.decoder_for(e.cx, e.cy).decode_entry(
-                e, payloads[i], &stats[static_cast<std::size_t>(tid)])) {
-          errors[static_cast<std::size_t>(tid)] =
-              "entry " + std::to_string(e.cx) + "," + std::to_string(e.cy) +
-              " failed to decode";
-          return;
-        }
-      }
-    } catch (const std::exception& ex) {
-      errors[static_cast<std::size_t>(tid)] = ex.what();
-    }
-  };
-  if (threads <= 1 || n < 2) {
-    worker(0, 0, n);
-  } else {
-    const int nt = std::min<std::size_t>(threads, n);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nt));
-    for (int t = 0; t < nt; ++t) {
-      const std::size_t begin = n * static_cast<std::size_t>(t) /
-                                static_cast<std::size_t>(nt);
-      const std::size_t end = n * static_cast<std::size_t>(t + 1) /
-                              static_cast<std::size_t>(nt);
-      pool.emplace_back(worker, t, begin, end);
-    }
-    for (std::thread& t : pool) t.join();
+  ThreadPool pool(threads);
+  const ImageDecode d = std::move(decode_images({&img}, pool).front());
+  if (!d.error.empty()) {
+    throw VbsError(VbsErrc::kDecodeFailed, "rtc: decode failed: " + d.error);
   }
-  for (const std::string& err : errors) {
-    if (!err.empty()) {
-      throw VbsError(VbsErrc::kDecodeFailed, "rtc: decode failed: " + err);
-    }
-  }
-
-  // Finalize phase: single-writer into the configuration memory (frames of
-  // adjacent macros share storage words).
-  for (std::size_t i = 0; i < n; ++i) {
-    write_entry_config(img, img.entries[i], payloads[i], fabric_, origin,
-                       config_);
-  }
+  write_decoded(img, d.payloads, origin);
 
   rec.decode_seconds = telem::seconds_since(t0);
   rec.threads_used = std::max(1, threads);
-  for (const DecodeStats& s : stats) {
-    rec.decode += s;
-    total_stats_ += s;
-  }
-  span.arg("entries", n).arg("threads", rec.threads_used);
+  rec.decode += d.decode;
+  total_stats_ += d.decode;
+  span.arg("entries", img.entries.size()).arg("threads", rec.threads_used);
   telem::counter_add("rtc.decode.ops");
-  telem::counter_add("rtc.decode.entries", static_cast<long long>(n));
+  telem::counter_add("rtc.decode.entries",
+                     static_cast<long long>(img.entries.size()));
   telem::histogram_record("rtc.decode.seconds", rec.decode_seconds);
 }
 
@@ -134,6 +87,7 @@ void ReconfigController::clear_region(const Rect& r) {
 void ReconfigController::write_decoded(const VbsImage& img,
                                        const std::vector<BitVector>& payloads,
                                        Point origin) {
+  // Single writer: frames of adjacent macros share storage words.
   for (std::size_t i = 0; i < img.entries.size(); ++i) {
     write_entry_config(img, img.entries[i], payloads[i], fabric_, origin,
                        config_);
@@ -168,6 +122,46 @@ void ReconfigController::check_payloads(
   }
 }
 
+TaskId ReconfigController::adopt(VbsImage img, std::size_t stream_bits,
+                                 Point origin, const Configure& configure) {
+  const Rect rect{origin.x, origin.y, img.task_w, img.task_h};
+  alloc_.occupy(rect);  // throws if not free / out of bounds
+  LoadedTask task;
+  task.rec.id = next_id_++;
+  task.rec.rect = rect;
+  task.rec.stream_bits = stream_bits;
+  task.image = std::move(img);
+  try {
+    configure(task.image, task.rec);
+  } catch (...) {
+    alloc_.release(rect);
+    throw;
+  }
+  const TaskId id = task.rec.id;
+  tasks_.emplace(id, std::move(task));
+  return id;
+}
+
+void ReconfigController::move_task(TaskId id, Point new_origin,
+                                   const Configure& configure) {
+  LoadedTask& task = lookup(id);
+  const Rect old_rect = task.rec.rect;
+  const Rect new_rect{new_origin.x, new_origin.y, old_rect.w, old_rect.h};
+  if (new_rect == old_rect) return;
+  // The new region must be free; a task may not overlap itself mid-move
+  // (the controller has no shadow configuration plane).
+  alloc_.occupy(new_rect);
+  try {
+    configure(task.image, task.rec);
+  } catch (...) {
+    alloc_.release(new_rect);
+    throw;
+  }
+  clear_region(old_rect);
+  alloc_.release(old_rect);
+  task.rec.rect = new_rect;
+}
+
 TaskId ReconfigController::load_decoded(const VbsImage& img,
                                         const std::vector<BitVector>& payloads,
                                         std::size_t stream_bits, Point origin,
@@ -181,78 +175,44 @@ TaskId ReconfigController::load_decoded(const VbsImage& img,
     // and the configuration memory untouched, like a real transient one.
     throw VbsError(VbsErrc::kFaultInjected, "rtc: injected allocation fault");
   }
-  const Rect rect{origin.x, origin.y, img.task_w, img.task_h};
-  alloc_.occupy(rect);  // throws if not free / out of bounds
-
-  LoadedTask task;
-  task.rec.id = next_id_++;
-  task.rec.rect = rect;
-  task.rec.stream_bits = stream_bits;
-  task.rec.decode = decode;
-  task.rec.decode_seconds = decode_seconds;
-  task.rec.threads_used = threads_used;
-  try {
-    write_decoded(img, payloads, origin);
-  } catch (...) {
-    alloc_.release(rect);
-    throw;
-  }
-  total_stats_ += decode;
-  task.image = img;
-  const TaskId id = task.rec.id;
-  tasks_.emplace(id, std::move(task));
-  return id;
+  return adopt(img, stream_bits, origin,
+               [&](const VbsImage& image, TaskRecord& rec) {
+                 write_decoded(image, payloads, origin);
+                 rec.decode = decode;
+                 rec.decode_seconds = decode_seconds;
+                 rec.threads_used = threads_used;
+                 total_stats_ += decode;
+               });
 }
 
 void ReconfigController::relocate_decoded(
     TaskId id, Point new_origin, const std::vector<BitVector>& payloads) {
-  LoadedTask& task = lookup(id);
-  check_payloads(task.image, payloads);
-  const Rect old_rect = task.rec.rect;
-  const Rect new_rect{new_origin.x, new_origin.y, old_rect.w, old_rect.h};
-  if (new_rect == old_rect) return;
-  // Same constraint as relocate: no shadow configuration plane, so the new
-  // region may not overlap the old one.
-  alloc_.occupy(new_rect);
-  try {
-    write_decoded(task.image, payloads, new_origin);
-  } catch (...) {
-    alloc_.release(new_rect);
-    throw;
-  }
-  clear_region(old_rect);
-  alloc_.release(old_rect);
-  task.rec.rect = new_rect;
+  check_payloads(image_of(id), payloads);
+  move_task(id, new_origin, [&](const VbsImage& image, TaskRecord&) {
+    write_decoded(image, payloads, new_origin);
+  });
 }
 
 TaskId ReconfigController::load(const BitVector& vbs_stream, int threads) {
-  const VbsImage img = deserialize_vbs(vbs_stream);
+  VbsImage img = deserialize_vbs(vbs_stream);
   const auto slot = alloc_.find_free(img.task_w, img.task_h);
   if (!slot) return kNoTask;
-  return load_at(vbs_stream, *slot, threads);
+  return load_image(std::move(img), vbs_stream.size(), *slot, threads);
 }
 
 TaskId ReconfigController::load_at(const BitVector& vbs_stream, Point origin,
                                    int threads) {
-  VbsImage img = deserialize_vbs(vbs_stream);
-  check_arch(img);
-  const Rect rect{origin.x, origin.y, img.task_w, img.task_h};
-  alloc_.occupy(rect);  // throws if not free / out of bounds
+  return load_image(deserialize_vbs(vbs_stream), vbs_stream.size(), origin,
+                    threads);
+}
 
-  LoadedTask task;
-  task.rec.id = next_id_++;
-  task.rec.rect = rect;
-  task.rec.stream_bits = vbs_stream.size();
-  try {
-    decode_into(img, origin, threads, task.rec);
-  } catch (...) {
-    alloc_.release(rect);
-    throw;
-  }
-  task.image = std::move(img);
-  const TaskId id = task.rec.id;
-  tasks_.emplace(id, std::move(task));
-  return id;
+TaskId ReconfigController::load_image(VbsImage img, std::size_t stream_bits,
+                                      Point origin, int threads) {
+  check_arch(img);
+  return adopt(std::move(img), stream_bits, origin,
+               [&](const VbsImage& image, TaskRecord& rec) {
+                 decode_into(image, origin, threads, rec);
+               });
 }
 
 void ReconfigController::unload(TaskId id) {
@@ -263,17 +223,9 @@ void ReconfigController::unload(TaskId id) {
 }
 
 void ReconfigController::relocate(TaskId id, Point new_origin, int threads) {
-  LoadedTask& task = lookup(id);
-  const Rect old_rect = task.rec.rect;
-  const Rect new_rect{new_origin.x, new_origin.y, old_rect.w, old_rect.h};
-  if (new_rect == old_rect) return;
-  // The new region must be free; a task may not overlap itself mid-move
-  // (the controller has no shadow configuration plane).
-  alloc_.occupy(new_rect);
-  decode_into(task.image, new_origin, threads, task.rec);
-  clear_region(old_rect);
-  alloc_.release(old_rect);
-  task.rec.rect = new_rect;
+  move_task(id, new_origin, [&](const VbsImage& image, TaskRecord& rec) {
+    decode_into(image, new_origin, threads, rec);
+  });
 }
 
 void ReconfigController::defragment(int threads) {

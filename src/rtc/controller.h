@@ -1,11 +1,12 @@
 // The run-time reconfiguration controller (paper Fig. 2): loads Virtual
-// Bit-Streams from external memory, de-virtualizes them — optionally in
-// parallel, macro regions being independent (paper Section II-C) — and
-// finalizes the configuration at the physical location chosen by the
-// placement allocator. Also implements task eviction and the relocation /
-// migration the VBS format exists to enable.
+// Bit-Streams from external memory, de-virtualizes them with decode_images
+// (vbs/devirtualizer.h) — optionally in parallel, macro regions being
+// independent (paper Section II-C) — and finalizes the configuration at the
+// physical location chosen by the placement allocator. Also implements task
+// eviction and the relocation / migration the VBS format exists to enable.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 
@@ -43,11 +44,12 @@ class ReconfigController {
 
   /// Loads a serialized VBS wherever it fits (first fit). Returns kNoTask
   /// if no free rectangle is large enough. `threads` >= 2 decodes entries
-  /// in parallel.
+  /// in parallel on a ThreadPool of that size (decode_images).
   TaskId load(const BitVector& vbs_stream, int threads = 1);
 
   /// Loads at a caller-chosen origin; throws std::logic_error if the
-  /// region is occupied or out of bounds.
+  /// region is occupied or out of bounds, and VbsError{kDecodeFailed} if
+  /// an entry does not decode. A failed load leaves no tiles occupied.
   TaskId load_at(const BitVector& vbs_stream, Point origin, int threads = 1);
 
   /// Clears the task's region (configuration zeroed) and frees it.
@@ -55,6 +57,8 @@ class ReconfigController {
 
   /// Migrates a loaded task: decodes its retained VBS at the new origin,
   /// then clears the old region — the on-the-fly relocation of Section V.
+  /// If the decode throws, the task keeps its old region and the new one
+  /// is released.
   void relocate(TaskId id, Point new_origin, int threads = 1);
 
   /// Compacts all tasks toward the origin to fight fragmentation.
@@ -62,8 +66,8 @@ class ReconfigController {
 
   /// Commits a pre-decoded image at `origin` without running the
   /// devirtualizer: `payloads[i]` is the decoded routing payload of
-  /// `img.entries[i]` (what the decode phase of load_at produces, and what
-  /// a DecodedStreamCache retains). `decode` is whatever devirtualization
+  /// `img.entries[i]` (what decode_images produces, and what a
+  /// DecodedStreamCache retains). `decode` is whatever devirtualization
   /// cost produced the payloads — zero for a cache hit — and is recorded
   /// verbatim in the task record and the aggregate stats.
   TaskId load_decoded(const VbsImage& img,
@@ -132,9 +136,22 @@ class ReconfigController {
     VbsImage image;  ///< retained for relocation
   };
 
-  /// Decodes `img` into the configuration memory at `origin`.
+  /// Writes a task's image into its new region and fills in its record.
+  using Configure = std::function<void(const VbsImage&, TaskRecord&)>;
+
+  /// Decodes `img` with decode_images on a `threads`-sized ThreadPool, then
+  /// writes it into the configuration memory at `origin`.
   void decode_into(const VbsImage& img, Point origin, int threads,
                    TaskRecord& rec);
+  TaskId load_image(VbsImage img, std::size_t stream_bits, Point origin,
+                    int threads);
+  /// Occupies the region at `origin`, runs `configure` and adopts the task;
+  /// if `configure` throws, the region is released.
+  TaskId adopt(VbsImage img, std::size_t stream_bits, Point origin,
+               const Configure& configure);
+  /// Occupies the region at `new_origin`, runs `configure`, then frees the
+  /// old region; if `configure` throws, the new region is released.
+  void move_task(TaskId id, Point new_origin, const Configure& configure);
   /// Writes already-decoded entry payloads into the configuration memory.
   void write_decoded(const VbsImage& img,
                      const std::vector<BitVector>& payloads, Point origin);

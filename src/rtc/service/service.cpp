@@ -440,16 +440,9 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
     VbsErrc parse_code = VbsErrc::kNone;
     std::string parse_error;
   };
-  /// One fresh devirtualization of a distinct stream.
-  struct Job {
-    std::shared_ptr<DecodedStream> decoded = std::make_shared<DecodedStream>();
-    std::size_t entry_base = 0;  ///< offset into the flat item arrays
-    double decode_seconds = 0.0;
-    VbsErrc code = VbsErrc::kNone;
-    std::string error;
-  };
   std::vector<Pending> pending(batch.size());
-  std::vector<Job> jobs;
+  /// One fresh devirtualization per distinct uncached stream.
+  std::vector<std::shared_ptr<DecodedStream>> jobs;
   std::map<std::uint64_t, int> job_of_hash;
 
   // Admission-order resolution: cache lookups and batch deduplication are
@@ -468,9 +461,8 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
       continue;
     }
     try {
-      Job job;
-      job.decoded->image = deserialize_vbs(batch[i]->stream);
-      job.decoded->payloads.resize(job.decoded->image.entries.size());
+      auto job = std::make_shared<DecodedStream>();
+      job->image = deserialize_vbs(batch[i]->stream);
       p.job = static_cast<int>(jobs.size());
       job_of_hash.emplace(p.hash, p.job);
       jobs.push_back(std::move(job));
@@ -484,76 +476,25 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
     }
   }
 
-  // Batched asynchronous devirtualization: entries of all jobs become one
-  // flat work list on the pool. Decoding an entry is pure (stateless
-  // across entries, position-independent), so any schedule produces the
-  // same payloads; per-item stats are merged in item order below.
-  struct Item {
-    int job;
-    std::size_t entry;
-  };
-  std::vector<Item> items;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    jobs[j].entry_base = items.size();
-    for (std::size_t e = 0; e < jobs[j].decoded->image.entries.size(); ++e) {
-      items.push_back({static_cast<int>(j), e});
-    }
+  // Batched asynchronous devirtualization: the entries of all jobs are one
+  // flat work list on the pool (decode_images).
+  std::vector<ImageDecode> decodes(jobs.size());
+  std::vector<const VbsImage*> images;
+  std::size_t entries = 0;
+  for (const auto& job : jobs) {
+    images.push_back(&job->image);
+    entries += job->image.entries.size();
   }
-  if (!items.empty()) {
+  if (entries > 0) {
     ++stats_.batches;
     telem::Span batch_span("service", "decode_batch");
-    batch_span.arg("requests", batch.size()).arg("entries", items.size());
-    std::vector<DecodeStats> item_stats(items.size());
-    std::vector<double> item_seconds(items.size(), 0.0);
-    std::vector<std::string> item_errors(items.size());
-    std::vector<VbsErrc> item_codes(items.size(), VbsErrc::kNone);
-    // Region models are shared per (rank, job): ranks only touch their own
-    // row, and a Devirtualizer is reusable but not thread-safe.
-    std::vector<std::vector<std::unique_ptr<RegionDecoderCache>>> decoders(
-        static_cast<std::size_t>(pool_.size()));
-    for (auto& row : decoders) row.resize(jobs.size());
-    pool_.parallel_for(items.size(), [&](int rank, std::size_t idx) {
-      const Item item = items[idx];
-      const std::uint64_t t0 = telem::now_ns();
-      try {
-        const VbsImage& img =
-            jobs[static_cast<std::size_t>(item.job)].decoded->image;
-        auto& slot =
-            decoders[static_cast<std::size_t>(rank)]
-                    [static_cast<std::size_t>(item.job)];
-        if (!slot) {
-          slot = std::make_unique<RegionDecoderCache>(
-              img.spec, img.cluster, img.task_w, img.task_h);
-        }
-        const VbsEntry& e = img.entries[item.entry];
-        if (!slot->decoder_for(e.cx, e.cy).decode_entry(
-                e,
-                jobs[static_cast<std::size_t>(item.job)]
-                    .decoded->payloads[item.entry],
-                &item_stats[idx])) {
-          item_errors[idx] = "entry " + std::to_string(e.cx) + "," +
-                             std::to_string(e.cy) + " failed to decode";
-          item_codes[idx] = VbsErrc::kDecodeFailed;
-        }
-      } catch (const VbsError& ex) {
-        item_errors[idx] = ex.what();
-        item_codes[idx] = ex.code();
-      } catch (const std::exception& ex) {
-        item_errors[idx] = ex.what();
-        item_codes[idx] = VbsErrc::kDecodeFailed;
-      }
-      item_seconds[idx] = telem::seconds_since(t0);
-    });
-    for (std::size_t idx = 0; idx < items.size(); ++idx) {
-      Job& job = jobs[static_cast<std::size_t>(items[idx].job)];
-      job.decoded->decode += item_stats[idx];
-      job.decode_seconds += item_seconds[idx];
-      if (!item_errors[idx].empty() && job.error.empty()) {
-        job.error = item_errors[idx];
-        job.code = item_codes[idx];
-      }
+    batch_span.arg("requests", batch.size()).arg("entries", entries);
+    decodes = decode_images(images, pool_);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j]->payloads = std::move(decodes[j].payloads);
+      jobs[j]->decode = decodes[j].decode;
+      stats_.decode += decodes[j].decode;
     }
-    for (const Job& job : jobs) stats_.decode += job.decoded->decode;
   }
 
   // Commit strictly in processing order.
@@ -581,8 +522,9 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
     VbsErrc code = VbsErrc::kNone;
     std::string error;
     if (!decoded && p.job >= 0) {
-      Job& job = jobs[static_cast<std::size_t>(p.job)];
-      if (job.error.empty()) {
+      const auto& job = jobs[static_cast<std::size_t>(p.job)];
+      const ImageDecode& d = decodes[static_cast<std::size_t>(p.job)];
+      if (d.error.empty()) {
         // Injected transient decode fault: only an attempt that actually
         // paid for devirtualization can lose it. Batch twins keep their
         // shared decode; the cache is NOT warmed by a faulted attempt.
@@ -597,19 +539,19 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
           finish(req, std::move(res), out);
           continue;
         }
-        decoded = job.decoded;
+        decoded = job;
         // The first committer of a fresh decode carries its cost; batch
         // twins of the same content count as warm.
         if (!p.cache_hit) {
-          decode_seconds = job.decode_seconds;
-          decode_cost = job.decoded->decode;
+          decode_seconds = d.seconds;
+          decode_cost = job->decode;
         }
         // A fresh decode warms the cache even if placement fails below: a
         // retry after departures should not pay for routing again.
-        cache_.insert(p.hash, job.decoded);
+        cache_.insert(p.hash, job);
       } else {
-        code = job.code;
-        error = job.error;
+        code = d.code;
+        error = d.error;
       }
     }
 

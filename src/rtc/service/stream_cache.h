@@ -8,7 +8,9 @@
 // payloads keyed by a content hash of the serialized stream: a repeated
 // load of the same task skips devirtualization entirely, and a relocation
 // copies the cached payload instead of re-routing. Capacity is bounded in
-// payload bits with LRU eviction.
+// payload bits with LRU eviction. The cached values are DecodedStreams
+// (vbs/devirtualizer.h), filled by decode_images, the one run-time decode
+// routine.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,6 @@
 #include "util/bitvector.h"
 #include "util/fault.h"
 #include "vbs/devirtualizer.h"
-#include "vbs/vbs_format.h"
 
 namespace vbs {
 
@@ -30,24 +31,6 @@ namespace vbs {
 /// the point; distinct streams colliding is astronomically unlikely and
 /// would only mis-share a decode, never corrupt memory.
 std::uint64_t stream_content_hash(const BitVector& stream);
-
-/// One devirtualized stream: the parsed image, the decoded routing payload
-/// of every entry, and what the decode cost when it actually ran.
-struct DecodedStream {
-  VbsImage image;
-  std::vector<BitVector> payloads;
-  DecodeStats decode;
-
-  /// Bits this entry charges against the cache capacity.
-  std::size_t footprint_bits() const;
-};
-
-/// Serially devirtualizes every entry of a parsed image into a cacheable
-/// DecodedStream. Throws std::runtime_error if an entry fails to decode
-/// (impossible for encoder-validated streams). The service's batch path
-/// does the same work as a flat parallel item list; this is the one-stream
-/// form for relocations and tests.
-std::shared_ptr<DecodedStream> decode_stream(VbsImage image);
 
 class DecodedStreamCache {
  public:

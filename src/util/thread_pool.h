@@ -10,7 +10,8 @@
 //
 // Scheduling order is nondeterministic; callers that need reproducible
 // results must make item tasks independent and merge them in a fixed order
-// afterwards (see ReconfigService's batched decode).
+// afterwards (see decode_images in vbs/devirtualizer.h, the run-time
+// decode routine the controller and the service share).
 // parallel_for is fork/join: it returns only after every index has run, so
 // data written by tasks is visible to the caller afterwards. One job at a
 // time: the pool must not be entered concurrently from two threads.

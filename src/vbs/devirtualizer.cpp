@@ -6,6 +6,8 @@
 #include <stdexcept>
 
 #include "util/error.h"
+#include "util/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace vbs {
 
@@ -302,6 +304,86 @@ const RegionModel& RegionDecoderCache::region_for(int cx, int cy) {
 
 Devirtualizer& RegionDecoderCache::decoder_for(int cx, int cy) {
   return *slot_for(cx, cy).decoder;
+}
+
+std::vector<ImageDecode> decode_images(
+    const std::vector<const VbsImage*>& images, ThreadPool& pool) {
+  struct Item {
+    std::size_t image;
+    std::size_t entry;
+    DecodeStats stats{};
+    double seconds = 0.0;
+    VbsErrc code = VbsErrc::kNone;
+    std::string error{};
+  };
+  std::vector<ImageDecode> out(images.size());
+  std::vector<Item> items;
+  for (std::size_t m = 0; m < images.size(); ++m) {
+    out[m].payloads.resize(images[m]->entries.size());
+    for (std::size_t e = 0; e < images[m]->entries.size(); ++e) {
+      items.push_back({m, e});
+    }
+  }
+  // Region models are built lazily per (rank, image): a rank only touches
+  // its own row, and a Devirtualizer is reusable but not thread-safe.
+  std::vector<std::vector<std::unique_ptr<RegionDecoderCache>>> decoders(
+      static_cast<std::size_t>(pool.size()));
+  for (auto& row : decoders) row.resize(images.size());
+  pool.parallel_for(items.size(), [&](int rank, std::size_t idx) {
+    Item& item = items[idx];
+    const VbsImage& img = *images[item.image];
+    const std::uint64_t t0 = telem::now_ns();
+    try {
+      auto& cache = decoders[static_cast<std::size_t>(rank)][item.image];
+      if (!cache) {
+        cache = std::make_unique<RegionDecoderCache>(img.spec, img.cluster,
+                                                     img.task_w, img.task_h);
+      }
+      const VbsEntry& e = img.entries[item.entry];
+      if (!cache->decoder_for(e.cx, e.cy).decode_entry(
+              e, out[item.image].payloads[item.entry], &item.stats)) {
+        item.code = VbsErrc::kDecodeFailed;
+        item.error = "entry " + std::to_string(e.cx) + "," +
+                     std::to_string(e.cy) + " failed to decode";
+      }
+    } catch (const VbsError& ex) {
+      item.code = ex.code();
+      item.error = ex.what();
+    } catch (const std::exception& ex) {
+      item.code = VbsErrc::kDecodeFailed;
+      item.error = ex.what();
+    }
+    item.seconds = telem::seconds_since(t0);
+  });
+  for (Item& item : items) {
+    ImageDecode& d = out[item.image];
+    d.decode += item.stats;
+    d.seconds += item.seconds;
+    if (!item.error.empty() && d.error.empty()) {
+      d.code = item.code;
+      d.error = std::move(item.error);
+    }
+  }
+  return out;
+}
+
+std::size_t DecodedStream::footprint_bits() const {
+  std::size_t bits = 0;
+  for (const BitVector& p : payloads) bits += p.size();
+  return bits;
+}
+
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image) {
+  ThreadPool serial(1);
+  ImageDecode d = std::move(decode_images({&image}, serial).front());
+  if (!d.error.empty()) {
+    throw VbsError(d.code, "decode_stream: " + d.error);
+  }
+  auto out = std::make_shared<DecodedStream>();
+  out->image = std::move(image);
+  out->payloads = std::move(d.payloads);
+  out->decode = d.decode;
+  return out;
 }
 
 BitVector devirtualize_image(const VbsImage& img, const Fabric& target,

@@ -22,16 +22,20 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "fabric/fabric.h"
 #include "util/bitvector.h"
+#include "util/error.h"
 #include "util/geometry.h"
 #include "vbs/region_model.h"
 #include "vbs/vbs_format.h"
 
 namespace vbs {
+
+class ThreadPool;
 
 struct DecodeStats {
   long long pairs_routed = 0;
@@ -98,7 +102,7 @@ class Devirtualizer {
 /// Lazily builds the region model + decoder for every distinct region shape
 /// of a task: the full c x c cluster plus up to three partial extents when
 /// the task size is not a multiple of c. Shared by the encoder's feedback
-/// loop and the run-time controller.
+/// loop and the run-time decode (decode_images).
 class RegionDecoderCache {
  public:
   RegionDecoderCache(const ArchSpec& spec, int cluster, int task_w,
@@ -122,6 +126,43 @@ class RegionDecoderCache {
   int task_h_;
   std::map<std::pair<int, int>, Slot> slots_;  ///< keyed by extent
 };
+
+/// What decode_images produced for one image.
+struct ImageDecode {
+  /// Decoded routing payload of every entry, in entry order.
+  std::vector<BitVector> payloads;
+  DecodeStats decode;
+  double seconds = 0.0;  ///< per-entry decode times, summed
+  /// The first failing entry's code and message (entry order); the
+  /// message is empty when every entry decoded.
+  VbsErrc code = VbsErrc::kNone;
+  std::string error;
+};
+
+/// The run-time de-virtualization step (paper Fig. 2): decodes every entry
+/// of every image as one flat (image, entry) work list on `pool` (a pool
+/// of one runs it serially). Entries are independent (paper Section II-C)
+/// and results merge in entry order, so nothing depends on the schedule.
+/// Every entry is decoded even after a failure, so `decode` counts the
+/// whole image's work; a failing entry is reported, not thrown.
+std::vector<ImageDecode> decode_images(
+    const std::vector<const VbsImage*>& images, ThreadPool& pool);
+
+/// One devirtualized stream: the parsed image, the decoded routing payload
+/// of every entry, and what the decode cost when it actually ran.
+struct DecodedStream {
+  VbsImage image;
+  std::vector<BitVector> payloads;
+  DecodeStats decode;
+
+  /// Bits this stream charges against a decoded-stream cache's capacity.
+  std::size_t footprint_bits() const;
+};
+
+/// Serially devirtualizes a parsed image into a cacheable DecodedStream
+/// (decode_images on one image). Throws VbsError with the first failing
+/// entry's code — impossible for encoder-validated streams.
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image);
 
 /// Decodes a whole image into a full-fabric raw configuration, placing the
 /// task origin at `origin` (relocation: the same image decodes at any

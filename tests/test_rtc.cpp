@@ -189,6 +189,23 @@ struct TaskFixture {
   }
 };
 
+/// `good` with one entry rewritten so that two signals drive one output:
+/// the stream still parses, but that entry can never decode.
+BitVector undecodable_stream(const BitVector& good) {
+  VbsImage img = deserialize_vbs(good);
+  for (VbsEntry& e : img.entries) {
+    if (e.raw || e.conns.empty()) continue;
+    const VbsConnection first = e.conns.front();
+    for (const VbsConnection& c : e.conns) {
+      if (c.in == first.in || c.in == first.out) continue;
+      e.conns = {first, {c.in, first.out}};
+      return serialize_vbs(img);
+    }
+  }
+  ADD_FAILURE() << "no entry with two distinct signals";
+  return good;
+}
+
 TEST(Controller, LoadDecodesCorrectly) {
   TaskFixture t(25, 31, 6);
   ReconfigController rtc(t.r.fabric->spec(), 6, 6);
@@ -399,7 +416,7 @@ TEST(Controller, RejectsArchMismatch) {
 
 TEST(Controller, FaultPlanInjectsAndRollsBack) {
   TaskFixture t(20, 52, 5, 8);
-  ReconfigController rtc(t.r.fabric->spec(), 8, 8);
+  ReconfigController rtc(t.r.fabric->spec(), 12, 8);
   // decode=1 fails every decode deterministically; the controller must
   // roll back cleanly and recover the moment the plan is removed.
   const FaultPlan plan(FaultPlanConfig{7, 1.0, 0.0, 0.0, 0.0, 8});
@@ -414,7 +431,47 @@ TEST(Controller, FaultPlanInjectsAndRollsBack) {
   EXPECT_EQ(rtc.occupancy(), 0.0);
   for (const std::uint64_t w : rtc.config_memory().words()) EXPECT_EQ(w, 0u);
   rtc.set_fault_plan(nullptr);
-  EXPECT_NE(rtc.load_at(t.stream, {0, 0}), kNoTask);
+  const TaskId id = rtc.load_at(t.stream, {0, 0});
+  ASSERT_NE(id, kNoTask);
+
+  // A faulted relocation leaves the task where it was and frees the target.
+  const double occupancy = rtc.occupancy();
+  rtc.set_fault_plan(&plan);
+  try {
+    rtc.relocate(id, {6, 0});
+    FAIL() << "injected decode fault not thrown by relocate";
+  } catch (const VbsError& e) {
+    EXPECT_EQ(e.code(), VbsErrc::kFaultInjected);
+  }
+  EXPECT_EQ(rtc.occupancy(), occupancy);
+  EXPECT_EQ(rtc.record(id).rect, (Rect{0, 0, 5, 5}));
+  t.expect_frames_at(rtc, {0, 0});
+  rtc.set_fault_plan(nullptr);
+  rtc.relocate(id, {6, 0});
+  EXPECT_EQ(rtc.record(id).rect, (Rect{6, 0, 5, 5}));
+  t.expect_frames_at(rtc, {6, 0});
+}
+
+TEST(Controller, UndecodableEntryIsTypedAndRolledBack) {
+  TaskFixture t(20, 52, 5, 8);
+  const BitVector bad = undecodable_stream(t.stream);
+  for (const int threads : {1, 4}) {
+    ReconfigController rtc(t.r.fabric->spec(), 8, 8);
+    const DecodeStats before = rtc.total_decode_stats();
+    try {
+      rtc.load_at(bad, {0, 0}, threads);
+      FAIL() << "undecodable entry not rejected, threads=" << threads;
+    } catch (const VbsError& e) {
+      EXPECT_EQ(e.code(), VbsErrc::kDecodeFailed) << "threads=" << threads;
+    }
+    EXPECT_EQ(rtc.num_tasks(), 0);
+    EXPECT_EQ(rtc.occupancy(), 0.0);
+    for (const std::uint64_t w : rtc.config_memory().words()) EXPECT_EQ(w, 0u);
+    const DecodeStats after = rtc.total_decode_stats();
+    EXPECT_EQ(after.entries_decoded, before.entries_decoded);
+    EXPECT_EQ(after.nodes_expanded, before.nodes_expanded);
+    EXPECT_EQ(after.pairs_failed, before.pairs_failed);
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <set>
 
 #include "flow/flow.h"
@@ -42,6 +44,23 @@ ArchSpec test_arch() {
   ArchSpec arch;
   arch.chan_width = 8;
   return arch;
+}
+
+/// `good` with one entry rewritten so that two signals drive one output:
+/// the stream still parses, but that entry can never decode.
+BitVector undecodable_stream(const BitVector& good) {
+  VbsImage img = deserialize_vbs(good);
+  for (VbsEntry& e : img.entries) {
+    if (e.raw || e.conns.empty()) continue;
+    const VbsConnection first = e.conns.front();
+    for (const VbsConnection& c : e.conns) {
+      if (c.in == first.in || c.in == first.out) continue;
+      e.conns = {first, {c.in, first.out}};
+      return serialize_vbs(img);
+    }
+  }
+  ADD_FAILURE() << "no entry with two distinct signals";
+  return good;
 }
 
 struct TempDir {
@@ -488,12 +507,41 @@ TEST(Service, UncachedRelocateRedecodesCorrectly) {
   EXPECT_EQ(svc.controller().config_memory(), ref.config_memory());
 }
 
+TEST(Service, UndecodableEntryFailsOnlyItsLoads) {
+  const ArchSpec arch = test_arch();
+  const BitVector good = make_stream(13, 4, 29, arch);
+  const BitVector bad = undecodable_stream(good);
+  std::vector<std::uint64_t> fps;
+  for (const int threads : {1, 4}) {
+    ServiceOptions opts;
+    opts.threads = threads;
+    ReconfigService svc(arch, 8, 4, opts);
+    svc.submit_load(bad);
+    svc.submit_load(good);
+    svc.submit_load(bad);  // batch twin of the failing decode
+    const auto results = svc.drain();
+    ASSERT_EQ(results.size(), 3u);
+    for (const std::size_t i : {0u, 2u}) {
+      EXPECT_EQ(results[i].status, RequestStatus::kFailed) << i;
+      EXPECT_EQ(results[i].code, VbsErrc::kDecodeFailed) << i;
+    }
+    EXPECT_EQ(results[1].status, RequestStatus::kDone);
+    // The failed decode's work still counts: every entry of both streams.
+    EXPECT_EQ(svc.stats().decode.entries_decoded,
+              static_cast<long long>(deserialize_vbs(good).entries.size() +
+                                     deserialize_vbs(bad).entries.size()));
+    fps.push_back(svc.state_fingerprint());
+  }
+  EXPECT_EQ(fps[0], fps[1]);
+}
+
 // --- trace replay determinism ----------------------------------------------
 
 struct ReplayOutcome {
   BitVector config;
   std::vector<EvictionEvent> evictions;
   std::vector<int> statuses;          ///< per request, admission order
+  std::vector<VbsErrc> codes;         ///< same order
   std::vector<long long> latencies;   ///< modeled ticks, same order
   long long warm_loads = 0;
   long long decode_nodes = 0;
@@ -506,7 +554,8 @@ ReplayOutcome replay(const Trace& trace,
                      const ArchSpec& arch, int threads,
                      std::size_t cache_bits, ServiceOptions opts = {},
                      const std::string& journal_dir = {},
-                     std::uint64_t* fingerprint_out = nullptr) {
+                     std::uint64_t* fingerprint_out = nullptr,
+                     const std::function<void(ReconfigService&)>& at_end = {}) {
   opts.threads = threads;
   opts.cache_capacity_bits = cache_bits;
   ReconfigService svc(arch, trace.fabric_w, trace.fabric_h, opts);
@@ -534,6 +583,7 @@ ReplayOutcome replay(const Trace& trace,
         trace.events[i + 1].tick != e.tick) {
       for (const RequestResult& r : svc.drain()) {
         out.statuses.push_back(static_cast<int>(r.status));
+        out.codes.push_back(r.code);
         out.latencies.push_back(r.latency_ticks);
       }
     }
@@ -548,6 +598,7 @@ ReplayOutcome replay(const Trace& trace,
   out.faults = svc.stats().faults_injected;
   out.now_ticks = svc.now_ticks();
   if (fingerprint_out != nullptr) *fingerprint_out = svc.state_fingerprint();
+  if (at_end) at_end(svc);
   return out;
 }
 
@@ -835,6 +886,82 @@ TEST(ServiceOverload, JournaledFaultedRunRecoversIdenticallyAcrossThreads) {
   // One durable history, one state: thread count changes neither.
   EXPECT_EQ(fps[0], fps[1]);
   EXPECT_EQ(fps[0], fps[2]);
+}
+
+// --- golden state -----------------------------------------------------------
+
+// Pins the replayed service state to fixed constants (recorded when the
+// controller, the cache and the batch path still had separate decode loops).
+// The cross-thread tests above compare runs of one build against each other,
+// so a change that moved every fingerprint the same way would pass them; this
+// one would not. The trace
+// covers batch decodes with in-batch twins, cache evictions, uncached
+// relocates (decode_stream), injected decode/alloc/cache/spike faults and a
+// well-formed stream whose entry cannot decode. Like
+// Determinism.GoldenTrajectoryArtifactHashes, the constants assume this
+// toolchain's libm: the streams come from the offline flow, whose annealer
+// calls exp/pow, so a platform whose libm rounds those differently would fail
+// here without any change to the service.
+TEST(Service, GoldenStateFingerprint) {
+  const ArchSpec arch = test_arch();
+  TraceGenOptions gopts;
+  gopts.pattern = ArrivalPattern::kBursty;
+  gopts.events = 80;
+  gopts.kinds = 4;
+  gopts.fabric_w = 10;
+  gopts.fabric_h = 8;
+  gopts.relocate_prob = 0.3;
+  const Trace trace = generate_trace(gopts);
+  std::vector<BitVector> streams;
+  for (const TraceTaskKind& k : trace.kinds) {
+    streams.push_back(make_stream(k.n_lut, k.grid, k.seed, arch, k.cluster));
+  }
+  streams.back() = undecodable_stream(streams.front());
+  ServiceOptions fopts;
+  fopts.queue_limit = 6;
+  fopts.deadline_ticks = 10;
+  fopts.retry_limit = 2;
+  fopts.faults =
+      FaultPlan::parse("seed=7,decode=0.2,alloc=0.1,cache=0.15,latency=0.2x5");
+  const std::size_t cache_bits = 10000;
+  struct Golden {
+    int threads;
+    std::uint64_t fingerprint;
+    std::uint64_t snapshot_hash;
+  };
+  // The fingerprint excludes thread counts; the snapshot records them (the
+  // service's option and each task's threads_used), so it differs per leg.
+  const Golden legs[] = {
+      {1, 0x0a2e04d8659ecca8ULL, 0x2a6905816e8b1dd0ULL},
+      {4, 0x0a2e04d8659ecca8ULL, 0x45d2dddc10009df4ULL},
+  };
+  for (const Golden& g : legs) {
+    TempDir dir("golden_" + std::to_string(g.threads));
+    std::uint64_t fp = 0;
+    std::uint64_t snapshot_hash = 0;
+    long long evictions = 0;
+    long long relocates_decoded = 0;
+    const ReplayOutcome out = replay(
+        trace, streams, arch, g.threads, cache_bits, fopts, dir.path, &fp,
+        [&](ReconfigService& svc) {
+          svc.compact_journal();
+          std::uint64_t snapshot_fp = 0;
+          snapshot_hash = stream_content_hash(ServiceJournal::read_snapshot(
+              ServiceJournal::scan(dir.path).snapshot_path, &snapshot_fp));
+          EXPECT_EQ(snapshot_fp, svc.state_fingerprint());
+          evictions = svc.cache().evictions();
+          relocates_decoded = svc.stats().relocates_decoded;
+        });
+    // The trace reaches every path the constants are meant to pin.
+    EXPECT_GT(out.faults, 0);
+    EXPECT_GT(evictions, 0);
+    EXPECT_GT(relocates_decoded, 0);
+    EXPECT_NE(std::count(out.codes.begin(), out.codes.end(),
+                         VbsErrc::kDecodeFailed),
+              0);
+    EXPECT_EQ(fp, g.fingerprint) << "threads=" << g.threads;
+    EXPECT_EQ(snapshot_hash, g.snapshot_hash) << "threads=" << g.threads;
+  }
 }
 
 }  // namespace

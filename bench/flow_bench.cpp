@@ -13,14 +13,12 @@
 // it then runs the minimum-channel-width search twice through the
 // pipeline, warm-started and cold. Results go to stdout as a table and to
 // a machine-readable JSON file (see bench/README.md for the
-// vbs.flow_bench.v7 schema).
+// vbs.flow_bench.v8 schema).
 //
-// Two in-run identity legs guard the SoA data-layout kernels: a
+// An in-run identity leg guards the placer's SoA data-layout kernels: a
 // bounding-box kernel micro-bench times cost sweeps over the committed
 // placement in both the SoA layout and the retained AoS reference and
-// requires bit-identical per-net costs, and a third route leg reruns the
-// bounded route with the precomputed congestion-cost stride disabled and
-// requires identical trees and heap pops. Either mismatch fails the run.
+// requires bit-identical per-net costs; a mismatch fails the run.
 //
 // Usage:
 //   flow_bench [--smoke] [--circuits a,b] [--seeds N] [--width W]
@@ -126,12 +124,6 @@ struct RunRecord {
   bool kernel_checked = false;
   RouteSample bounded;
   RouteSample unbounded;
-  // Reference-cost route leg: the bounded route rerun with the precomputed
-  // congestion-cost stride disabled (RouterOptions::precomputed_cost =
-  // false); trees and counters must match the bounded leg exactly.
-  RouteSample route_ref;
-  bool route_ref_checked = false;
-  bool route_ref_identical = false;
   // Checkpoint/resume verification: save after route, resume, rerun the
   // route stage from the loaded placement, compare byte for byte.
   bool checkpoint_checked = false;
@@ -152,14 +144,11 @@ RouteSample sample_of(const RoutingResult& rr, double seconds) {
 }
 
 RouteSample route_once(const Fabric& fabric, const RouteRequest& req,
-                       const RouterOptions& ropts,
-                       RoutingResult* out = nullptr) {
+                       const RouterOptions& ropts) {
   const std::uint64_t t0 = telem::now_ns();
   PathfinderRouter router(fabric, req);
-  RoutingResult rr = router.route(ropts);
-  RouteSample s = sample_of(rr, telem::seconds_since(t0));
-  if (out != nullptr) *out = std::move(rr);
-  return s;
+  const RoutingResult rr = router.route(ropts);
+  return sample_of(rr, telem::seconds_since(t0));
 }
 
 bool identical_routes(const RoutingResult& a, const RoutingResult& b) {
@@ -326,20 +315,6 @@ RunRecord run_one(const std::string& name, Netlist nl, int grid,
   baseline.incremental_reroute = false;
   baseline.astar_fac = 1.15;
   rec.unbounded = route_once(pipe->fabric(), pipe->route_request(), baseline);
-  // Reference-cost leg: the bounded route with the precomputed
-  // congestion-cost stride turned off, i.e. the pre-refactor inner loop
-  // recomputing each node's cost inline. The stride is identity-preserving
-  // by construction, so trees, pops and iterations must all match the
-  // bounded leg — this cross-checks the SoA router layout in-run.
-  RouterOptions refc = pipe->options().route;
-  refc.precomputed_cost = false;
-  RoutingResult ref_routes;
-  rec.route_ref =
-      route_once(pipe->fabric(), pipe->route_request(), refc, &ref_routes);
-  rec.route_ref_checked = true;
-  rec.route_ref_identical = identical_routes(pipe->routing(), ref_routes) &&
-                            rec.route_ref.heap_pops == rec.bounded.heap_pops &&
-                            rec.route_ref.iterations == rec.bounded.iterations;
 
   // Checkpoint/resume verification (scratch dir; --checkpoint-dir keeps
   // only the pack+place prefix, this leg exercises the full chain).
@@ -372,7 +347,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
   double secs_b = 0, secs_u = 0, psecs = 0;
   int ok_b = 0, ok_u = 0, mcw_match = 0;
   int ckpt_identical = 0;
-  int kernel_identical = 0, refcost_identical = 0;
+  int kernel_identical = 0;
   double ksecs_soa = 0, ksecs_ref = 0;
   for (const RunRecord& r : runs) {
     pops_b += r.bounded.heap_pops;
@@ -384,7 +359,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
     ok_u += r.unbounded.success ? 1 : 0;
     ckpt_identical += r.checkpoint_identical ? 1 : 0;
     kernel_identical += r.kernel_checked && r.kernel.identical ? 1 : 0;
-    refcost_identical += r.route_ref_checked && r.route_ref_identical ? 1 : 0;
     ksecs_soa += r.kernel.soa_seconds;
     ksecs_ref += r.kernel.ref_seconds;
     mcw_w += r.mcw_warm.heap_pops;
@@ -394,7 +368,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
   const char* stage_names[] = {"pack", "place", "route", "all"};
   const std::string ckpt_json =
       ckpt_root.empty() ? "null" : "\"" + ckpt_root + "\"";
-  std::fprintf(f, "{\n  \"schema\": \"vbs.flow_bench.v7\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"vbs.flow_bench.v8\",\n");
   std::fprintf(f,
                "  \"options\": {\"smoke\": %s, \"chan_width\": %d, \"seeds\": "
                "%d, \"bb_margin\": %d, \"effort\": %.3f, "
@@ -462,13 +436,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
     };
     route_json("route_bounded", r.bounded, ",");
     route_json("route_unbounded", r.unbounded, ",");
-    if (r.route_ref_checked) {
-      std::fprintf(f,
-                   "     \"route_refcost\": {\"seconds\": %.4f, "
-                   "\"heap_pops\": %lld, \"identical_to_bounded\": %s},\n",
-                   r.route_ref.seconds, r.route_ref.heap_pops,
-                   r.route_ref_identical ? "true" : "false");
-    }
     std::fprintf(f,
                  "     \"checkpoint\": {\"checked\": %s, "
                  "\"resume_identical\": %s}%s\n",
@@ -497,7 +464,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
       "\"route_seconds_bounded\": %.4f, \"route_seconds_unbounded\": %.4f, "
       "\"place_seconds\": %.4f, \"kernel_identical\": %d, \"kernel_soa_seconds\": %.4f, "
       "\"kernel_ref_seconds\": %.4f, \"kernel_speedup\": %.3f, "
-      "\"route_refcost_identical\": %d, "
       "\"checkpoint_identical\": %d, "
       "\"mcw_heap_pops_warm\": %lld, "
       "\"mcw_heap_pops_cold\": %lld, \"mcw_pop_ratio\": %.3f, "
@@ -506,8 +472,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
       pops_b > 0 ? static_cast<double>(pops_u) / static_cast<double>(pops_b)
                  : 0.0,
       secs_b, secs_u, psecs, kernel_identical, ksecs_soa, ksecs_ref,
-      ksecs_soa > 0 ? ksecs_ref / ksecs_soa : 0.0, refcost_identical,
-      ckpt_identical, mcw_w, mcw_c,
+      ksecs_soa > 0 ? ksecs_ref / ksecs_soa : 0.0, ckpt_identical, mcw_w, mcw_c,
       mcw_w > 0 ? static_cast<double>(mcw_c) / static_cast<double>(mcw_w)
                 : 0.0,
       mcw_match);
@@ -655,7 +620,7 @@ int main(int argc, char** argv) try {
   telemetry.finish();
 
   // Fail loudly if any leg that ran regressed: an unroutable run, a
-  // kernel or route leg that diverged from its reference, or a checkpoint
+  // kernel leg that diverged from its reference, or a checkpoint
   // resume that did not reproduce the uninterrupted run would make the
   // numbers meaningless.
   for (const RunRecord& r : runs) {
@@ -669,13 +634,6 @@ int main(int argc, char** argv) try {
     if (stage_limit < 2) continue;
     if (!r.bounded.success || !r.unbounded.success) {
       std::fprintf(stderr, "FAIL: %s seed %llu did not route\n",
-                   r.circuit.c_str(), static_cast<unsigned long long>(r.seed));
-      return 1;
-    }
-    if (r.route_ref_checked && !r.route_ref_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s seed %llu precomputed-cost route diverged from "
-                   "the reference-cost route\n",
                    r.circuit.c_str(), static_cast<unsigned long long>(r.seed));
       return 1;
     }

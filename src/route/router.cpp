@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -155,10 +154,8 @@ void PathfinderRouter::add_occ(int v, int d) {
   // Occupancy changes keep the precomputed stride in sync within the
   // iteration; the wholesale refresh at iteration start covers everything
   // else (hist updates, seeding, restarts).
-  if (precost_) {
-    node_cost_[sv] =
-        static_cast<float>(node_cost_of(hist_[sv], pres_fac_, occ_[sv]));
-  }
+  node_cost_[sv] =
+      static_cast<float>(node_cost_of(hist_[sv], pres_fac_, occ_[sv]));
 }
 
 void PathfinderRouter::rip_up(std::size_t net_idx) {
@@ -265,8 +262,8 @@ PathfinderRouter::BBox PathfinderRouter::expansion_box(
 }
 
 bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
-                                      double pres_fac, double astar_fac,
-                                      const BBox& box, RouterScratch& s) {
+                                      double astar_fac, const BBox& box,
+                                      RouterScratch& s) {
   const int px1 = fabric_.spec().pins_on_x() + 1;
   const int py1 = fabric_.spec().pins_on_y() + 1;
   const Point sink_pos = fabric_.node_pos(sink);
@@ -290,20 +287,19 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
     s.path_cost[v] = 0.0f;
     s.back_node[v] = -1;
     s.back_edge[v] = -1;
-    s.heap.push_back({heur(tn.rr), 0.0f, tn.rr});
+    s.heap.push_unordered(heur(tn.rr), tn.rr, 0.0f);
   }
-  std::make_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+  s.heap.heapify();
 
   while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-    const RouterScratch::HeapEntry top = s.heap.back();
-    s.heap.pop_back();
+    const MinHeap::Entry top = s.heap.pop();
     ++s.heap_pops;
-    const auto u = static_cast<std::size_t>(top.node);
-    if (s.epoch_of[u] != s.epoch || top.path != s.path_cost[u]) continue;
-    if (top.node == sink) return true;
-    const auto edge_base = fabric_.edge_offset(top.node);
-    const auto edges = fabric_.edges(top.node);
+    const int node = top.node();
+    const auto u = static_cast<std::size_t>(node);
+    if (s.epoch_of[u] != s.epoch || top.cost != s.path_cost[u]) continue;
+    if (node == sink) return true;
+    const auto edge_base = fabric_.edge_offset(node);
+    const auto edges = fabric_.edges(node);
     for (std::size_t k = 0; k < edges.size(); ++k) {
       const int v = edges[k].to;
       const auto sv = static_cast<std::size_t>(v);
@@ -311,29 +307,22 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
       const std::uint8_t cls = node_class_[sv];
       if (cls != kFree && (cls == kMasked || v != sink)) continue;
       if (!box.contains(fabric_.node_pos(v))) continue;
-      // Congestion cost: one contiguous float read. precost_ off is the
-      // reference formulation — the same double expression node_cost_[sv]
-      // was filled from, so the float is bit-identical either way
-      // (flow_bench's kernel leg cross-checks the two).
-      const float cong =
-          precost_ ? node_cost_[sv]
-                   : static_cast<float>(
-                         node_cost_of(hist_[sv], pres_fac, occ_[sv]));
-      const float npc = top.path + cong;
+      // Congestion cost: one contiguous float read from the stride
+      // refresh_node_costs filled for this iteration.
+      const float npc = top.cost + node_cost_[sv];
       if (s.epoch_of[sv] != s.epoch || npc < s.path_cost[sv]) {
         s.epoch_of[sv] = s.epoch;
         s.path_cost[sv] = npc;
-        s.back_node[sv] = top.node;
+        s.back_node[sv] = node;
         s.back_edge[sv] = static_cast<std::int64_t>(edge_base + k);
-        s.heap.push_back({npc + heur(v), npc, v});
-        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+        s.heap.push(npc + heur(v), v, npc);
       }
     }
   }
   return false;
 }
 
-bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
+bool PathfinderRouter::route_net(std::size_t net_idx,
                                  const RouterOptions& opts, RouterScratch& s,
                                  NetRoute& route) {
   const NetSpec& spec = request_.nets[net_idx];
@@ -375,8 +364,7 @@ bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
       // just failed (small grids): searching it again finds nothing new.
       if (level > 0 && box == prev_box) continue;
       prev_box = box;
-      found =
-          expand_to_sink(route, sink, pres_fac, opts.astar_fac, box, s);
+      found = expand_to_sink(route, sink, opts.astar_fac, box, s);
       if (!found) {
         const bool whole_fabric = box.x0 == 0 && box.y0 == 0 &&
                                   box.x1 == fabric_.width() - 1 &&
@@ -413,7 +401,6 @@ bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
 }
 
 bool PathfinderRouter::iteration_net(std::size_t net_idx, bool full,
-                                     double pres_fac,
                                      const RouterOptions& opts,
                                      std::size_t* rerouted) {
   if (!full) {
@@ -424,12 +411,11 @@ bool PathfinderRouter::iteration_net(std::size_t net_idx, bool full,
     if (!opts.incremental_reroute) rip_up(net_idx);
   }
   ++*rerouted;
-  return route_net(net_idx, pres_fac, opts, main_, routes_[net_idx]);
+  return route_net(net_idx, opts, main_, routes_[net_idx]);
 }
 
 RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
   RoutingResult result;
-  precost_ = opts.precomputed_cost;
 
   // The per-iteration work list: nets with sinks, spatially interleaved by
   // round-robining over coarse tile cells of their terminal boxes. The
@@ -476,13 +462,13 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
     // hist_ and pres_fac changed since the last iteration: rebuild the
     // congestion-cost stride once, O(V) and vectorizable, instead of
     // paying the two-array arithmetic on every edge relaxation below.
-    if (precost_) refresh_node_costs(pres_fac);
+    refresh_node_costs(pres_fac);
     const long long pops_before = main_.heap_pops;
     std::size_t rerouted = 0;
     result.iterations = iter;
     bool routable = true;
     for (const std::size_t i : work) {
-      if (!iteration_net(i, full_iter, pres_fac, opts, &rerouted)) {
+      if (!iteration_net(i, full_iter, opts, &rerouted)) {
         routable = false;
         break;
       }

@@ -5,8 +5,8 @@
 // expansion; congestion is negotiated across iterations through present-
 // usage and history costs until no routing resource is overused.
 //
-// Hot-path configuration (each individually toggleable via RouterOptions;
-// `flow_bench` measures the defaults against the textbook baseline):
+// Search options (RouterOptions; `flow_bench` measures the defaults
+// against the textbook baseline):
 //   * bounded_box (default ON): expansion and tree seeding restricted to
 //     the box around the sink and the nearest tree point plus `bb_margin`
 //     tiles, VPR's classic pruning. A connection that cannot complete
@@ -17,6 +17,12 @@
 //     of their tree across iterations and reroute only the connections
 //     crossing overused nodes, instead of whole-net rip-up.
 //   * astar_fac (default 1.5): calibrated heuristic weight, see below.
+//
+// Fixed hot-path structure (no options): each iteration precomputes one
+// float congestion cost per RR node, kept in sync on every occupancy
+// change, so the A* inner loop reads a single contiguous stride; the open
+// list is the MinHeap (util/min_heap.h) shared with the de-virtualizer,
+// whose packed (estimate, node id) keys compare in one integer compare.
 #pragma once
 
 #include <cstdint>
@@ -88,15 +94,6 @@ struct RouterOptions {
   /// instead of ripping up and rebuilding the whole net (default on).
   /// Off = the textbook whole-net rip-up, the flow_bench baseline.
   bool incremental_reroute = true;
-  /// Read congestion costs from a per-iteration precomputed float array
-  /// (one contiguous stride over RR nodes, refreshed at iteration start and
-  /// kept in sync on every occupancy change) instead of recomputing
-  /// (1+hist)(1+pres_fac*occ) from two arrays inside the A* inner loop.
-  /// Identity-preserving by construction — the cached float is the same
-  /// double expression cast the same way, so heap pops and trees are
-  /// byte-identical either way. Off is the reference path flow_bench's
-  /// kernel leg compares against.
-  bool precomputed_cost = true;
 };
 
 /// Per-PathFinder-iteration counters, for perf trajectories (flow_bench)
@@ -158,11 +155,11 @@ class PathfinderRouter {
 
   void add_occ(int v, int d);
 
-  bool route_net(std::size_t net_idx, double pres_fac,
-                 const RouterOptions& opts, RouterScratch& s, NetRoute& route);
+  bool route_net(std::size_t net_idx, const RouterOptions& opts,
+                 RouterScratch& s, NetRoute& route);
   /// One A* wave from the current tree of `net_idx` to `sink` within `box`.
-  bool expand_to_sink(const NetRoute& route, int sink, double pres_fac,
-                      double astar_fac, const BBox& box, RouterScratch& s);
+  bool expand_to_sink(const NetRoute& route, int sink, double astar_fac,
+                      const BBox& box, RouterScratch& s);
   /// Expansion window for escalation level 0 (sink-to-tree connection box
   /// plus margin), 1 (whole terminal box, grown margin), 2 (whole fabric).
   BBox expansion_box(std::size_t net_idx, Point sink_pos, Point near_pos,
@@ -178,7 +175,7 @@ class PathfinderRouter {
   /// Per-net iteration body (congested check + route); returns false on
   /// an unroutable net. `full` forces routing regardless of congestion
   /// (first iteration, or the iteration after a stall restart).
-  bool iteration_net(std::size_t net_idx, bool full, double pres_fac,
+  bool iteration_net(std::size_t net_idx, bool full,
                      const RouterOptions& opts, std::size_t* rerouted);
 
   const Fabric& fabric_;
@@ -194,12 +191,11 @@ class PathfinderRouter {
   std::vector<std::uint16_t> occ_;
   std::vector<float> hist_;
   /// float((1+hist)(1+pres_fac*occ)) per node, valid for the current
-  /// iteration when opts.precomputed_cost is on: the A* inner loop reads
-  /// this one contiguous stride instead of touching hist_ and occ_ and
-  /// redoing the arithmetic per edge relaxation.
+  /// iteration: the A* inner loop reads this one contiguous stride instead
+  /// of touching hist_ and occ_ and redoing the arithmetic per edge
+  /// relaxation.
   std::vector<float> node_cost_;
   double pres_fac_ = 0.0;  ///< factor node_cost_ was computed under
-  bool precost_ = true;    ///< RouterOptions::precomputed_cost for this run
   /// kFree = plain wire; kPinOnly = pin-stub seg-0 node, usable only as a
   /// net's own terminal (prevents shorting foreign signals onto LUT pins);
   /// kMasked = track >= width_limit, not part of this trial's fabric.

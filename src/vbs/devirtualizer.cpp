@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 #include <stdexcept>
 
+#include "util/epoch.h"
 #include "util/error.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
@@ -20,23 +20,6 @@ DecodeStats& DecodeStats::operator+=(const DecodeStats& o) {
   negotiation_iterations += o.negotiation_iterations;
   return *this;
 }
-
-namespace {
-
-struct HeapEntry {
-  float est;
-  float cost;
-  std::int32_t node;
-  bool operator>(const HeapEntry& o) const {
-    if (est != o.est) return est > o.est;
-    return node > o.node;  // deterministic tie-break
-  }
-};
-
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
-
-}  // namespace
 
 Devirtualizer::Devirtualizer(const RegionModel& region) : region_(&region) {
   const auto n = static_cast<std::size_t>(region.num_nodes());
@@ -65,8 +48,8 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
     for (const TreeNode& tn : g.tree) in_tree |= (tn.node == target);
     if (in_tree) continue;
 
-    ++search_epoch_;
-    MinHeap heap;
+    bump_epoch(search_epoch_, {&visit_epoch_});
+    heap_.clear();
     const Point tp = rm.node_tile(target);
     auto heur = [&](int v) {
       const Point p = rm.node_tile(v);
@@ -79,20 +62,20 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
       cost_[v] = 0.0f;
       back_[v] = -1;
       back_bit_[v] = -1;
-      heap.push({heur(tn.node), 0.0f, tn.node});
+      heap_.push(heur(tn.node), tn.node, 0.0f);
     }
     bool found = false;
-    while (!heap.empty()) {
-      const HeapEntry top = heap.top();
-      heap.pop();
+    while (!heap_.empty()) {
+      const MinHeap::Entry top = heap_.pop();
       ++expanded_;
-      const auto u = static_cast<std::size_t>(top.node);
+      const int node = top.node();
+      const auto u = static_cast<std::size_t>(node);
       if (visit_epoch_[u] != search_epoch_ || cost_[u] != top.cost) continue;
-      if (top.node == target) {
+      if (node == target) {
         found = true;
         break;
       }
-      for (const RegionModel::Adj& adj : rm.adjacency(top.node)) {
+      for (const RegionModel::Adj& adj : rm.adjacency(node)) {
         const auto v = static_cast<std::size_t>(adj.to);
         // Port wires are reserved for the signal that declares them; this
         // is a hard constraint, not a negotiable cost (it protects wires
@@ -109,9 +92,9 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
         if (visit_epoch_[v] != search_epoch_ || nc < cost_[v]) {
           visit_epoch_[v] = search_epoch_;
           cost_[v] = nc;
-          back_[v] = top.node;
-          back_bit_[v] = rm.switch_bit(adj.macro, adj.point, adj.pair);
-          heap.push({nc + heur(adj.to), nc, adj.to});
+          back_[v] = node;
+          back_bit_[v] = adj.bit;
+          heap_.push(nc + heur(adj.to), adj.to, nc);
         }
       }
     }

@@ -17,6 +17,13 @@
 // Because decoding is deterministic in the connection order, the offline
 // encoder runs this exact code as its feedback loop: any order it validates
 // is guaranteed to decode online (paper Section III-B).
+//
+// Hot path: almost all decode time is route_group's A* loop. Its open list
+// is a member MinHeap (util/min_heap.h, shared with the global router)
+// that keeps its capacity across searches and orders entries by one
+// integer compare; each adjacency arm carries its precomputed switch bit
+// (RegionModel::Adj); per-node search state is epoch-stamped, so a search
+// starts with one bump_epoch instead of an O(nodes) clear.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +37,7 @@
 #include "util/bitvector.h"
 #include "util/error.h"
 #include "util/geometry.h"
+#include "util/min_heap.h"
 #include "vbs/region_model.h"
 #include "vbs/vbs_format.h"
 
@@ -96,6 +104,7 @@ class Devirtualizer {
   std::vector<std::int32_t> back_bit_;
   std::vector<std::uint32_t> visit_epoch_;
   std::uint32_t search_epoch_ = 0;
+  MinHeap heap_;  ///< A* open list, reused by every search
   long long expanded_ = 0;
 };
 

@@ -122,8 +122,10 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
     }
   }
 
-  // Switch adjacency in CSR form. Adj.macro uses the full-c row-major
-  // index, which is also the payload frame index write_entry_config uses.
+  // Switch adjacency in CSR form. Each arm carries its switch's payload
+  // bit, computed once here rather than per relaxation in the decoder's
+  // A* loop; the macro index is the full-c row-major one, which is also
+  // the payload frame index write_entry_config uses.
   const auto& points = macro_.switch_points();
   std::vector<std::uint32_t> degree(static_cast<std::size_t>(num_nodes_), 0);
   auto for_each_switch = [&](auto&& fn) {
@@ -155,12 +157,9 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
   adj_data_.resize(adj_begin_[static_cast<std::size_t>(num_nodes_)]);
   std::vector<std::size_t> cursor(adj_begin_.begin(), adj_begin_.end() - 1);
   for_each_switch([&](int m, int pi, int pair, int ga, int gb) {
-    adj_data_[cursor[static_cast<std::size_t>(ga)]++] = {
-        gb, static_cast<std::int16_t>(m), static_cast<std::int16_t>(pi),
-        static_cast<std::int8_t>(pair)};
-    adj_data_[cursor[static_cast<std::size_t>(gb)]++] = {
-        ga, static_cast<std::int16_t>(m), static_cast<std::int16_t>(pi),
-        static_cast<std::int8_t>(pair)};
+    const std::int32_t bit = switch_bit(m, pi, pair);
+    adj_data_[cursor[static_cast<std::size_t>(ga)]++] = {gb, bit};
+    adj_data_[cursor[static_cast<std::size_t>(gb)]++] = {ga, bit};
   });
 
   (void)exists;

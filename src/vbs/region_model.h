@@ -79,9 +79,7 @@ class RegionModel {
   // --- switch adjacency ------------------------------------------------------
   struct Adj {
     std::int32_t to;
-    std::int16_t macro;  ///< region-macro index uy*c+ux owning the switch
-    std::int16_t point;  ///< switch-point index in the MacroModel
-    std::int8_t pair;    ///< arm-pair index within the point
+    std::int32_t bit;  ///< switch_bit() of the switch joining the two nodes
   };
   std::span<const Adj> adjacency(int node) const {
     return {adj_data_.data() + adj_begin_[node],

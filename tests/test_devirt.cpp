@@ -5,6 +5,10 @@
 #include <numeric>
 #include <vector>
 
+#include "flow/pipeline.h"
+#include "netlist/mcnc.h"
+#include "util/hash.h"
+#include "util/thread_pool.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/region_model.h"
 
@@ -216,6 +220,39 @@ TEST(Devirtualizer, SaturatedMacroFailsGracefully) {
   DecodeStats stats;
   EXPECT_FALSE(dv.decode_entry(entry_with(conns), payload, &stats));
   EXPECT_EQ(stats.pairs_failed, 1);
+}
+
+// Pins the decode work and result for the golden tseng image (the flow of
+// Determinism.GoldenTrajectoryArtifactHashes: W=20, seed 1, placer effort
+// 0.25). The constants were recorded with the decoder's earlier
+// std::priority_queue open list, which MinHeap must reproduce. The stream
+// bytes are pinned elsewhere; this catches a search change that keeps them
+// but pops a different number of heap entries (nodes_expanded) or decodes
+// different switches (the payload hash).
+// Like the trajectory test, the constants assume this toolchain's libm
+// exp/pow (the placer's acceptance test uses them).
+TEST(Devirtualizer, GoldenTsengDecodeStats) {
+  const McncCircuit& c = mcnc_by_name("tseng");
+  FlowOptions fo;
+  fo.arch.chan_width = 20;
+  fo.seed = 1;
+  fo.place.effort = 0.25;
+  FlowPipeline pipe(make_mcnc_like(c, 1), c.size, c.size, fo);
+  ThreadPool serial(1);
+  const ImageDecode d = decode_images({&pipe.vbs_image()}, serial).front();
+  ASSERT_TRUE(d.error.empty()) << d.error;
+  std::uint64_t h = kFnvOffset64;
+  for (const BitVector& p : d.payloads) {
+    h = hash_u64(h, p.size());
+    for (const std::uint64_t w : p.words()) h = hash_u64(h, w);
+  }
+  EXPECT_EQ(d.decode.nodes_expanded, 1538059);
+  EXPECT_EQ(d.decode.negotiation_iterations, 2717);
+  EXPECT_EQ(d.decode.pairs_routed, 12033);
+  EXPECT_EQ(d.decode.pairs_failed, 0);
+  EXPECT_EQ(d.decode.entries_decoded, 827);
+  EXPECT_EQ(d.decode.raw_entries, 0);
+  EXPECT_EQ(h, 0x37b31cab0e903c5aull);
 }
 
 }  // namespace

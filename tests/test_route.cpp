@@ -297,41 +297,6 @@ TEST(RoutingStats, PearsonBasics) {
   EXPECT_NEAR(pearson({1, 2, 3, 4}, {1, 3, 2, 4}), 0.8, 1e-12);
 }
 
-TEST(Route, PrecomputedCostMatchesReferencePath) {
-  // The per-iteration congestion-cost stride (RouterOptions::
-  // precomputed_cost, on by default) is identity-preserving by contract:
-  // the same trees, heap pops and iteration count as recomputing each
-  // node's cost inline in the A* loop.
-  GenParams p;
-  p.n_lut = 80;
-  p.n_pi = 8;
-  p.n_po = 8;
-  p.seed = 4;
-  const Netlist nl = generate_netlist(p);
-  FlowOptions pre = small_opts(10);
-  pre.seed = 4;
-  FlowOptions ref = pre;
-  ref.route.precomputed_cost = false;
-  FlowResult a = run_flow(nl, 10, 10, pre);
-  FlowResult b = run_flow(nl, 10, 10, ref);
-  ASSERT_TRUE(a.routed());
-  ASSERT_TRUE(b.routed());
-  EXPECT_EQ(a.routing.heap_pops, b.routing.heap_pops);
-  EXPECT_EQ(a.routing.iterations, b.routing.iterations);
-  EXPECT_EQ(a.routing.bbox_retries, b.routing.bbox_retries);
-  ASSERT_EQ(a.routing.routes.size(), b.routing.routes.size());
-  for (std::size_t i = 0; i < a.routing.routes.size(); ++i) {
-    ASSERT_EQ(a.routing.routes[i].nodes.size(),
-              b.routing.routes[i].nodes.size());
-    for (std::size_t k = 0; k < a.routing.routes[i].nodes.size(); ++k) {
-      EXPECT_EQ(a.routing.routes[i].nodes[k].rr,
-                b.routing.routes[i].nodes[k].rr);
-      EXPECT_EQ(a.routing.routes[i].nodes[k].parent,
-                b.routing.routes[i].nodes[k].parent);
-    }
-  }
-}
-
 TEST(Route, DeterministicResult) {
   GenParams p;
   p.n_lut = 40;

@@ -1,17 +1,24 @@
 // Unit tests for the util layer: bit vectors, bit I/O, RNG, statistics,
-// and the work-stealing thread pool.
+// the work-stealing thread pool, the A* min-heap and epoch stamps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <queue>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "util/bitio.h"
 #include "util/bitvector.h"
+#include "util/epoch.h"
 #include "util/geometry.h"
+#include "util/min_heap.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -394,6 +401,132 @@ TEST(ThreadPool, PropagatesFirstException) {
   std::atomic<int> done{0};
   pool.parallel_for(16, [&](int, std::size_t) { ++done; });
   EXPECT_EQ(done.load(), 16);
+}
+
+// The A* searches' former open list: a binary heap with the (est, node)
+// comparator MinHeap's packed key must reproduce.
+struct RefEntry {
+  float est;
+  float cost;
+  std::int32_t node;
+  bool operator>(const RefEntry& o) const {
+    if (est != o.est) return est > o.est;
+    return node > o.node;
+  }
+};
+using RefHeap =
+    std::priority_queue<RefEntry, std::vector<RefEntry>, std::greater<>>;
+
+TEST(MinHeap, KeyOrdersLikeEstThenNode) {
+  const float ests[] = {-3.5f, -1.0f, -0.0f, 0.0f, 1e-30f, 0.5f, 1.0f,
+                        7.25f, 1e30f};
+  const std::int32_t nodes[] = {0, 1, 77,
+                                std::numeric_limits<std::int32_t>::max()};
+  for (const float ea : ests) {
+    for (const std::int32_t na : nodes) {
+      for (const float eb : ests) {
+        for (const std::int32_t nb : nodes) {
+          const RefEntry a{ea, 0.0f, na}, b{eb, 0.0f, nb};
+          EXPECT_EQ(MinHeap::key_of(ea, na) < MinHeap::key_of(eb, nb), b > a)
+              << ea << "," << na << " vs " << eb << "," << nb;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(MinHeap::key_of(-0.0f, 5), MinHeap::key_of(0.0f, 5));
+  const MinHeap::Entry e{MinHeap::key_of(2.0f, 123456789), 1.0f};
+  EXPECT_EQ(e.node(), 123456789);
+}
+
+TEST(MinHeap, PopsExactlyLikePriorityQueue) {
+  // Few distinct estimates (ties on est), few nodes plus large ids and
+  // random costs (duplicate (est, node) entries with different costs),
+  // both zeros and a negative estimate. MinHeap follows the standard
+  // library's sift rules, so even entries sharing (est, node) leave in the
+  // reference's order: every popped (key, cost) matches, which is what
+  // keeps the searches' pop counters unchanged.
+  const float ests[] = {-2.0f, -0.0f, 0.0f, 0.25f, 1.0f, 1.5f, 3.0f, 1e9f};
+  const std::int32_t big = std::numeric_limits<std::int32_t>::max();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    auto random_entry = [&] {
+      return RefEntry{
+          ests[rng.next_below(std::size(ests))],
+          static_cast<float>(rng.next_int(0, 3)),
+          rng.next_bool(0.1) ? big - rng.next_int(0, 2) : rng.next_int(0, 15)};
+    };
+    // Seeding: heapify against the range constructor's make_heap.
+    MinHeap heap;
+    std::vector<RefEntry> seeds(rng.next_below(40));
+    for (RefEntry& r : seeds) {
+      r = random_entry();
+      heap.push_unordered(r.est, r.node, r.cost);
+    }
+    heap.heapify();
+    RefHeap ref(std::greater<>{}, std::move(seeds));
+    std::size_t pops = 0;
+    auto pop_both = [&] {
+      const MinHeap::Entry e = heap.pop();
+      const RefEntry& r = ref.top();
+      EXPECT_EQ(e.key, MinHeap::key_of(r.est, r.node))
+          << "seed " << seed << " pop " << pops;
+      EXPECT_EQ(e.cost, r.cost) << "seed " << seed << " pop " << pops;
+      ref.pop();
+      ++pops;
+    };
+    for (int op = 0; op < 4000; ++op) {
+      if (ref.empty() || rng.next_bool(0.55)) {
+        const RefEntry r = random_entry();
+        heap.push(r.est, r.node, r.cost);
+        ref.push(r);
+      } else {
+        pop_both();
+      }
+      ASSERT_EQ(heap.size(), ref.size());
+    }
+    while (!ref.empty()) pop_both();
+    EXPECT_TRUE(heap.empty());
+  }
+}
+
+TEST(MinHeap, ClearKeepsWorking) {
+  MinHeap heap;
+  for (int i = 0; i < 100; ++i) {
+    heap.push(static_cast<float>(100 - i), i, 0.0f);
+  }
+  heap.clear();
+  EXPECT_TRUE(heap.empty());
+  heap.push(2.0f, 9, 0.5f);
+  heap.push(1.0f, 4, 0.25f);
+  heap.push(1.0f, 3, 0.75f);
+  EXPECT_EQ(heap.pop().node(), 3);
+  const MinHeap::Entry e = heap.pop();
+  EXPECT_EQ(e.node(), 4);
+  EXPECT_EQ(e.cost, 0.25f);
+  EXPECT_EQ(heap.pop().node(), 9);
+  EXPECT_TRUE(heap.empty());
+}
+
+TEST(Epoch, BumpAdvancesWithoutTouchingStamps) {
+  std::uint32_t epoch = 6;
+  std::vector<std::uint32_t> stamps{6, 3, 0};
+  EXPECT_EQ(bump_epoch(epoch, {&stamps}), 7u);
+  EXPECT_EQ(epoch, 7u);
+  EXPECT_EQ(stamps, (std::vector<std::uint32_t>{6, 3, 0}));
+}
+
+TEST(Epoch, WrapClearsEveryStampArrayAndRestartsAtOne) {
+  std::uint32_t epoch = std::numeric_limits<std::uint32_t>::max();
+  // Stamps written 2^32 - 1 and 1 searches ago, plus a never-touched
+  // entry: without the clear, the restarted epoch 1 would alias the
+  // second array's stale stamp and 0 would alias the untouched one.
+  std::vector<std::uint32_t> a{epoch, 5, 0};
+  std::vector<std::uint32_t> b{1, 1};
+  EXPECT_EQ(bump_epoch(epoch, {&a, &b}), 1u);
+  EXPECT_EQ(epoch, 1u);
+  EXPECT_EQ(a, (std::vector<std::uint32_t>{0, 0, 0}));
+  EXPECT_EQ(b, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_EQ(bump_epoch(epoch, {&a, &b}), 2u);
 }
 
 }  // namespace

@@ -14,6 +14,13 @@ namespace {
 
 constexpr char kMagic[4] = {'V', 'A', 'R', '1'};
 
+/// Every artifact rejection: kBadContainer, or kTruncated for a file or
+/// byte string shorter than its header or declared payload.
+[[noreturn]] void bad_artifact(const std::string& what,
+                               VbsErrc code = VbsErrc::kBadContainer) {
+  throw VbsError(code, what);
+}
+
 void put_le64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -55,7 +62,7 @@ PackedDesign deserialize_packed(const BitVector& bits) {
   const int num_luts = get_i32(r);
   const int num_ios = get_i32(r);
   if (num_luts < 0 || num_ios < 0) {
-    throw ArtifactError("pack artifact: negative instance count");
+    bad_artifact("pack artifact: negative instance count");
   }
   pd.luts.resize(static_cast<std::size_t>(num_luts));
   pd.ios.resize(static_cast<std::size_t>(num_ios));
@@ -65,7 +72,7 @@ PackedDesign deserialize_packed(const BitVector& bits) {
   for (auto& pins : pd.lut_pins) {
     for (NetId& n : pins) n = get_i32(r);
   }
-  if (!r.at_end()) throw ArtifactError("pack artifact: trailing bits");
+  if (!r.at_end()) bad_artifact("pack artifact: trailing bits");
   return pd;
 }
 
@@ -100,18 +107,18 @@ void deserialize_placement(const BitVector& bits, Placement* pl,
   out.grid_w = get_i32(r);
   out.grid_h = get_i32(r);
   const int luts = get_i32(r);
-  if (luts < 0) throw ArtifactError("place artifact: negative LUT count");
+  if (luts < 0) bad_artifact("place artifact: negative LUT count");
   out.lut_loc.resize(static_cast<std::size_t>(luts));
   for (Point& p : out.lut_loc) {
     p.x = get_i32(r);
     p.y = get_i32(r);
   }
   const int ios = get_i32(r);
-  if (ios < 0) throw ArtifactError("place artifact: negative I/O count");
+  if (ios < 0) bad_artifact("place artifact: negative I/O count");
   out.io_loc.resize(static_cast<std::size_t>(ios));
   for (IoSlot& s : out.io_loc) {
     const auto side = r.read(8);
-    if (side > 3) throw ArtifactError("place artifact: bad I/O side");
+    if (side > 3) bad_artifact("place artifact: bad I/O side");
     s.side = static_cast<Side>(side);
     s.tile = get_i32(r);
     s.track = get_i32(r);
@@ -123,7 +130,7 @@ void deserialize_placement(const BitVector& bits, Placement* pl,
   st.accepted = get_i64(r);
   st.temperatures = get_i32(r);
   st.cost_drift = get_f64(r);
-  if (!r.at_end()) throw ArtifactError("place artifact: trailing bits");
+  if (!r.at_end()) bad_artifact("place artifact: trailing bits");
   *pl = std::move(out);
   if (stats != nullptr) *stats = st;
 }
@@ -158,11 +165,11 @@ RoutingResult deserialize_routing(const BitVector& bits) {
   rr.heap_pops = get_i64(r);
   rr.bbox_retries = get_i64(r);
   const int nets = get_i32(r);
-  if (nets < 0) throw ArtifactError("route artifact: negative net count");
+  if (nets < 0) bad_artifact("route artifact: negative net count");
   rr.routes.resize(static_cast<std::size_t>(nets));
   for (NetRoute& net : rr.routes) {
     const int nodes = get_i32(r);
-    if (nodes < 0) throw ArtifactError("route artifact: negative node count");
+    if (nodes < 0) bad_artifact("route artifact: negative node count");
     net.nodes.resize(static_cast<std::size_t>(nodes));
     for (NetRoute::TreeNode& n : net.nodes) {
       n.rr = get_i32(r);
@@ -170,7 +177,7 @@ RoutingResult deserialize_routing(const BitVector& bits) {
       n.fabric_edge = get_i64(r);
     }
   }
-  if (!r.at_end()) throw ArtifactError("route artifact: trailing bits");
+  if (!r.at_end()) bad_artifact("route artifact: trailing bits");
   return rr;
 }
 
@@ -195,22 +202,21 @@ BitVector parse_artifact_container(const std::string& bytes,
                                    std::uint64_t* fingerprint_out,
                                    const std::string& context) {
   if (bytes.size() < 29) {
-    throw ArtifactError("truncated artifact header: " + context,
-                        VbsErrc::kTruncated);
+    bad_artifact("truncated artifact header: " + context, VbsErrc::kTruncated);
   }
   for (int i = 0; i < 4; ++i) {
     if (bytes[static_cast<std::size_t>(i)] != kMagic[i]) {
-      throw ArtifactError("not a vbs.artifact.v1 container: " + context);
+      bad_artifact("not a vbs.artifact.v1 container: " + context);
     }
   }
   if (static_cast<std::uint8_t>(bytes[4]) != static_cast<std::uint8_t>(stage)) {
-    throw ArtifactError("artifact stage mismatch: " + context);
+    bad_artifact("artifact stage mismatch: " + context);
   }
   const std::uint64_t fingerprint = take_le64(bytes, 5);
   const std::uint64_t stored_hash = take_le64(bytes, 13);
   const std::uint64_t bit_count = take_le64(bytes, 21);
   if (expected_fingerprint != nullptr && fingerprint != *expected_fingerprint) {
-    throw ArtifactError(
+    bad_artifact(
         "artifact fingerprint mismatch (stale or foreign checkpoint): " +
         context);
   }
@@ -219,13 +225,11 @@ BitVector parse_artifact_container(const std::string& bytes,
   // demand exabytes nor smuggle trailing bytes past the content hash.
   const std::uint64_t nbytes64 = bit_count / 8 + (bit_count % 8 != 0 ? 1 : 0);
   if (nbytes64 != bytes.size() - 29) {
-    throw ArtifactError("artifact size mismatch (corrupted length): " +
-                        context);
+    bad_artifact("artifact size mismatch (corrupted length): " + context);
   }
   const std::string payload = bytes.substr(29);
   if (content_hash(payload, bit_count) != stored_hash) {
-    throw ArtifactError("artifact content-hash mismatch (corrupted): " +
-                        context);
+    bad_artifact("artifact content-hash mismatch (corrupted): " + context);
   }
   if (fingerprint_out != nullptr) *fingerprint_out = fingerprint;
   return unpack_bits(payload, static_cast<std::size_t>(bit_count));
@@ -250,23 +254,22 @@ BitVector read_artifact_file(const std::string& path, ArtifactStage stage,
   is.seekg(0, std::ios::beg);
   char head[29];
   if (!is.read(head, sizeof head)) {
-    throw ArtifactError("truncated artifact header: " + path,
-                        VbsErrc::kTruncated);
+    bad_artifact("truncated artifact header: " + path, VbsErrc::kTruncated);
   }
   for (int i = 0; i < 4; ++i) {
     if (head[i] != kMagic[i]) {
-      throw ArtifactError("not a vbs.artifact.v1 file: " + path);
+      bad_artifact("not a vbs.artifact.v1 file: " + path);
     }
   }
   if (static_cast<std::uint8_t>(head[4]) != static_cast<std::uint8_t>(stage)) {
-    throw ArtifactError("artifact stage mismatch: " + path);
+    bad_artifact("artifact stage mismatch: " + path);
   }
   const std::string header(head + 5, 24);
   const std::uint64_t fingerprint = take_le64(header, 0);
   const std::uint64_t stored_hash = take_le64(header, 8);
   const std::uint64_t bit_count = take_le64(header, 16);
   if (expected_fingerprint != nullptr && fingerprint != *expected_fingerprint) {
-    throw ArtifactError(
+    bad_artifact(
         "artifact fingerprint mismatch (stale or foreign checkpoint): " +
         path);
   }
@@ -275,16 +278,15 @@ BitVector read_artifact_file(const std::string& path, ArtifactStage stage,
   // demand exabytes nor smuggle trailing bytes past the content hash.
   const std::uint64_t nbytes64 = bit_count / 8 + (bit_count % 8 != 0 ? 1 : 0);
   if (nbytes64 != file_size - sizeof head) {
-    throw ArtifactError("artifact size mismatch (corrupted length): " + path);
+    bad_artifact("artifact size mismatch (corrupted length): " + path);
   }
   const auto nbytes = static_cast<std::size_t>(nbytes64);
   std::string bytes(nbytes, '\0');
   if (!is.read(bytes.data(), static_cast<std::streamsize>(nbytes))) {
-    throw ArtifactError("truncated artifact payload: " + path,
-                        VbsErrc::kTruncated);
+    bad_artifact("truncated artifact payload: " + path, VbsErrc::kTruncated);
   }
   if (content_hash(bytes, bit_count) != stored_hash) {
-    throw ArtifactError("artifact content-hash mismatch (corrupted): " + path);
+    bad_artifact("artifact content-hash mismatch (corrupted): " + path);
   }
   if (fingerprint_out != nullptr) *fingerprint_out = fingerprint;
   return unpack_bits(bytes, static_cast<std::size_t>(bit_count));

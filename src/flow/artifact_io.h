@@ -19,10 +19,10 @@
 //   bytes 29-    payload bits, MSB-first within each byte, zero-padded
 //
 // Readers verify magic, version, stage tag, fingerprint and content hash
-// and throw ArtifactError on any mismatch, so a stale, truncated or
-// foreign checkpoint can never be silently resumed. Wall times are NOT
-// part of any payload, so two runs with the same inputs save byte-
-// identical artifacts.
+// and throw a VbsError whose code passes is_artifact_error on any mismatch,
+// so a stale, truncated or foreign checkpoint can never be silently
+// resumed. Wall times are NOT part of any payload, so two runs with the
+// same inputs save byte-identical artifacts.
 #pragma once
 
 #include <bit>
@@ -40,14 +40,12 @@
 
 namespace vbs {
 
-/// Thrown on any malformed, corrupted, version-mismatched or
-/// fingerprint-mismatched artifact file.
-class ArtifactError : public VbsError {
- public:
-  explicit ArtifactError(const std::string& what,
-                         VbsErrc code = VbsErrc::kBadContainer)
-      : VbsError(code, what) {}
-};
+/// The codes an artifact rejection carries: kBadContainer, or kTruncated
+/// for a header or payload shorter than declared. Catch sites that turn an
+/// artifact rejection into their own error dispatch on this.
+inline bool is_artifact_error(VbsErrc code) {
+  return code == VbsErrc::kBadContainer || code == VbsErrc::kTruncated;
+}
 
 /// Stage tag stored in the container header. kMeta is the checkpoint's
 /// flow-description artifact (grid + options), not a pipeline stage.
@@ -126,8 +124,8 @@ std::string artifact_container_bytes(ArtifactStage stage,
 
 /// Parses bytes produced by artifact_container_bytes, verifying magic,
 /// stage tag, declared size and content hash (and the fingerprint when
-/// `expected_fingerprint` is non-null). Throws ArtifactError on any
-/// mismatch; `context` names the source in error messages.
+/// `expected_fingerprint` is non-null). Throws VbsError (is_artifact_error)
+/// on any mismatch; `context` names the source in error messages.
 BitVector parse_artifact_container(const std::string& bytes,
                                    ArtifactStage stage,
                                    const std::uint64_t* expected_fingerprint,
@@ -146,9 +144,9 @@ void write_artifact_file(const std::string& path, ArtifactStage stage,
 
 /// Reads an artifact written by write_artifact_file, verifying magic,
 /// version, stage tag, the stored content hash, and — when
-/// `expected_fingerprint` is non-null — the fingerprint. Throws
-/// ArtifactError on any mismatch or truncation, std::runtime_error on I/O
-/// failure.
+/// `expected_fingerprint` is non-null — the fingerprint. Throws VbsError
+/// (is_artifact_error) on any mismatch or truncation, std::runtime_error on
+/// I/O failure.
 BitVector read_artifact_file(const std::string& path, ArtifactStage stage,
                              const std::uint64_t* expected_fingerprint,
                              std::uint64_t* fingerprint_out = nullptr);

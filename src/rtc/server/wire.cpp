@@ -13,13 +13,6 @@ namespace {
   throw VbsError(VbsErrc::kNetFrame, "rpc frame: " + what);
 }
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Checksum coverage: version byte, type byte, corr, payload — the frame
 /// minus the length prefix and the checksum field itself.
 std::uint64_t frame_checksum(std::uint8_t ver, std::uint8_t type,
@@ -262,8 +255,9 @@ LoadMsg decode_load(const std::string& payload) {
                                         /*expected_fingerprint=*/nullptr,
                                         /*fingerprint_out=*/nullptr,
                                         "rpc load");
-  } catch (const ArtifactError& e) {
+  } catch (const VbsError& e) {
     // A torn/tampered container is a wire-level reject, typed as such.
+    if (!is_artifact_error(e.code())) throw;
     bad_frame(std::string("load container: ") + e.what());
   }
   return m;

@@ -308,7 +308,8 @@ BitVector ServiceJournal::read_snapshot(const std::string& path,
   try {
     return read_artifact_file(path, ArtifactStage::kServiceSnapshot, nullptr,
                               fingerprint_out);
-  } catch (const ArtifactError& e) {
+  } catch (const VbsError& e) {
+    if (!is_artifact_error(e.code())) throw;
     bad(std::string("snapshot: ") + e.what());
   }
 }

@@ -701,26 +701,6 @@ namespace {
   throw VbsError(VbsErrc::kBadJournal, "journal: " + what);
 }
 
-void put_decode_stats(BitWriter& w, const DecodeStats& s) {
-  artio::put_i64(w, s.pairs_routed);
-  artio::put_i64(w, s.pairs_failed);
-  artio::put_i64(w, s.nodes_expanded);
-  artio::put_i64(w, s.entries_decoded);
-  artio::put_i64(w, s.raw_entries);
-  artio::put_i64(w, s.negotiation_iterations);
-}
-
-DecodeStats get_decode_stats(BitReader& r) {
-  DecodeStats s;
-  s.pairs_routed = artio::get_i64(r);
-  s.pairs_failed = artio::get_i64(r);
-  s.nodes_expanded = artio::get_i64(r);
-  s.entries_decoded = artio::get_i64(r);
-  s.raw_entries = artio::get_i64(r);
-  s.negotiation_iterations = artio::get_i64(r);
-  return s;
-}
-
 void put_bytes(BitWriter& w, const std::string& s) {
   artio::put_i64(w, static_cast<std::int64_t>(s.size()));
   for (const char c : s) w.write(static_cast<unsigned char>(c), 8);
@@ -737,16 +717,6 @@ std::string get_bytes(BitReader& r) {
   return s;
 }
 
-/// Rejects element counts that could not possibly fit in the remaining
-/// bits (each element consumes at least `min_bits`) — corrupt counts must
-/// fail typed, before any proportional allocation.
-void check_count(const BitReader& r, std::int64_t n, std::size_t min_bits,
-                 const char* what) {
-  if (n < 0 || static_cast<std::uint64_t>(n) > r.remaining() / min_bits) {
-    bad_journal(std::string("bad ") + what + " count");
-  }
-}
-
 void put_bitvec(BitWriter& w, const BitVector& bits) {
   w.write(bits.size(), 64);
   w.write_vector(bits);
@@ -757,165 +727,311 @@ BitVector get_bitvec(BitReader& r) {
   return r.read_vector(static_cast<std::size_t>(nbits));
 }
 
-void put_rect(BitWriter& w, const Rect& rect) {
-  artio::put_i32(w, rect.x);
-  artio::put_i32(w, rect.y);
-  artio::put_i32(w, rect.w);
-  artio::put_i32(w, rect.h);
+// --- the state walk ----------------------------------------------------------
+//
+// ReconfigService::walk_state lists every replay-deterministic field once, in
+// one order. Three archives visit it:
+//   StateHasher  folds each integer into state_fingerprint() through
+//                hash_u64, as its 64-bit two's-complement value;
+//   StateWriter  writes the snapshot, each field at its i32/i64 width;
+//   StateReader  reads it back, bounding every count before any allocation.
+// An archive offers i32/i64 (any integers, in order), bit, enum8 and count,
+// plus the places where the fingerprint and the snapshot differ: the cache
+// section, a task's snapshot-only tail and a queued load's stream. Those live
+// in the archives; the prefix (fingerprint tag or snapshot version, open
+// bytes and configuration memory) lives in the three callers.
+
+/// Walks a map: its size, then each key and value. Reading inserts the
+/// entries in stream order.
+template <class Ar, class Map, class F>
+void walk_map(Ar& ar, Map& m, const char* what, F entry) {
+  std::size_t n = m.size();
+  ar.count(n, what);
+  if constexpr (Ar::kReading) {
+    for (std::size_t i = 0; i < n; ++i) {
+      typename Map::key_type k{};
+      typename Map::mapped_type v{};
+      entry(k, v);
+      m.insert_or_assign(k, std::move(v));
+    }
+  } else {
+    for (auto& [k, v] : m) entry(k, v);
+  }
 }
 
-Rect get_rect(BitReader& r) {
-  Rect rect;
-  rect.x = artio::get_i32(r);
-  rect.y = artio::get_i32(r);
-  rect.w = artio::get_i32(r);
-  rect.h = artio::get_i32(r);
-  return rect;
+/// Walks a vector or deque: its size, then each element. Reading appends.
+template <class Ar, class Seq, class F>
+void walk_seq(Ar& ar, Seq& seq, const char* what, F elem) {
+  std::size_t n = seq.size();
+  ar.count(n, what);
+  if constexpr (Ar::kReading) {
+    for (std::size_t i = 0; i < n; ++i) elem(seq.emplace_back());
+  } else {
+    for (auto& e : seq) elem(e);
+  }
 }
 
-void fp_u64(std::uint64_t& h, std::uint64_t v) { h = hash_u64(h, v); }
-void fp_i64(std::uint64_t& h, long long v) {
-  h = hash_u64(h, static_cast<std::uint64_t>(v));
+template <class Ar, class Stats>
+void walk_decode(Ar& ar, Stats& s) {
+  ar.i64(s.pairs_routed, s.pairs_failed, s.nodes_expanded, s.entries_decoded,
+         s.raw_entries, s.negotiation_iterations);
 }
-void fp_decode(std::uint64_t& h, const DecodeStats& s) {
-  fp_i64(h, s.pairs_routed);
-  fp_i64(h, s.pairs_failed);
-  fp_i64(h, s.nodes_expanded);
-  fp_i64(h, s.entries_decoded);
-  fp_i64(h, s.raw_entries);
-  fp_i64(h, s.negotiation_iterations);
+
+/// The cache's serial counters; the fingerprint and the snapshot give them
+/// at different places of their cache sections.
+template <class Ar, class Cache>
+void walk_cache_counters(Ar& ar, Cache& c) {
+  long long hits = c.hits(), misses = c.misses(), insertions = c.insertions();
+  long long evictions = c.evictions(), fault_drops = c.fault_drops();
+  std::uint64_t insert_seq = c.insert_seq();
+  ar.i64(hits, misses, insertions, evictions, fault_drops, insert_seq);
+  if constexpr (Ar::kReading) {
+    c.restore_counters(hits, misses, insertions, evictions, fault_drops,
+                       insert_seq);
+  }
 }
-void fp_rect(std::uint64_t& h, const Rect& r) {
-  fp_i64(h, r.x);
-  fp_i64(h, r.y);
-  fp_i64(h, r.w);
-  fp_i64(h, r.h);
-}
+
+class StateHasher {
+ public:
+  static constexpr bool kReading = false;
+
+  StateHasher() {
+    constexpr char kTag[] = "vbs.service.state.v1";
+    h_ = fnv1a64(kTag, sizeof kTag - 1);
+  }
+  std::uint64_t value() const { return h_; }
+
+  template <class... T>
+  void i32(const T&... v) {
+    (fold(v), ...);
+  }
+  template <class... T>
+  void i64(const T&... v) {
+    (fold(v), ...);
+  }
+  void bit(bool b) { fold(b); }
+  template <class E>
+  void enum8(E e, E, const char*) {
+    fold(e);
+  }
+  void count(std::size_t n, const char*) { fold(n); }
+
+  /// Content keys in MRU order with their footprints (the key IS the content
+  /// hash, so payload bytes add nothing), the size, then the counters.
+  void cache(const DecodedStreamCache& c) {
+    const auto entries = c.entries_mru();
+    fold(entries.size());
+    for (const auto& [key, value] : entries) {
+      fold(key);
+      fold(value->footprint_bits());
+    }
+    fold(c.size_bits());
+    walk_cache_counters(*this, c);
+  }
+  /// Wall time and threads_used are excluded; the image is the task's
+  /// configuration, already hashed with config memory.
+  void task_tail(const TaskRecord&, const ReconfigController&) {}
+  /// A queued load by its content hash, anything else by 0.
+  void queued_stream(const BitVector& stream, bool load) {
+    fold(load ? stream_content_hash(stream) : 0);
+  }
+
+ private:
+  template <class T>
+  void fold(T v) {
+    h_ = hash_u64(h_, static_cast<std::uint64_t>(v));
+  }
+
+  std::uint64_t h_;
+};
+
+class StateWriter {
+ public:
+  static constexpr bool kReading = false;
+
+  BitWriter w;
+
+  template <class... T>
+  void i32(const T&... v) {
+    (artio::put_i32(w, static_cast<std::int32_t>(v)), ...);
+  }
+  template <class... T>
+  void i64(const T&... v) {
+    (w.write(static_cast<std::uint64_t>(v), 64), ...);
+  }
+  void bit(bool b) { w.write_bit(b); }
+  template <class E>
+  void enum8(E e, E, const char*) {
+    w.write(static_cast<std::uint64_t>(e), 8);
+  }
+  void count(std::size_t n, const char*) { i32(n); }
+
+  /// Counters, then entries MRU -> LRU with images, payloads and decode
+  /// stats (restore_entry rebuilds the same order).
+  void cache(const DecodedStreamCache& c) {
+    walk_cache_counters(*this, c);
+    const auto entries = c.entries_mru();
+    count(entries.size(), "cache entry");
+    for (const auto& [key, value] : entries) {
+      i64(key);
+      put_bitvec(w, serialize_vbs(value->image));
+      count(value->payloads.size(), "payload");
+      for (const BitVector& p : value->payloads) put_bitvec(w, p);
+      walk_decode(*this, value->decode);
+    }
+  }
+  void task_tail(const TaskRecord& rec, const ReconfigController& rtc) {
+    i32(rec.threads_used);
+    put_bitvec(w, serialize_vbs(rtc.image_of(rec.id)));
+  }
+  void queued_stream(const BitVector& stream, bool) { put_bitvec(w, stream); }
+};
+
+class StateReader {
+ public:
+  static constexpr bool kReading = true;
+
+  explicit StateReader(const BitVector& snapshot) : r(snapshot) {}
+
+  BitReader r;
+
+  template <class... T>
+  void i32(T&... v) {
+    ((v = static_cast<T>(artio::get_i32(r))), ...);
+  }
+  template <class... T>
+  void i64(T&... v) {
+    ((v = static_cast<T>(r.read(64))), ...);
+  }
+  void bit(bool& b) { b = r.read_bit(); }
+  template <class E>
+  void enum8(E& e, E max, const char* what) {
+    const std::uint64_t v = r.read(8);
+    if (v > static_cast<std::uint64_t>(max)) {
+      bad_journal(std::string("bad ") + what);
+    }
+    e = static_cast<E>(v);
+  }
+  /// Rejects counts that could not fit in the remaining bits (each element
+  /// takes at least 64): a corrupt count fails typed, before allocating.
+  void count(std::size_t& n, const char* what) {
+    const std::int32_t v = artio::get_i32(r);
+    if (v < 0 || static_cast<std::uint64_t>(v) > r.remaining() / 64) {
+      bad_journal(std::string("bad ") + what + " count");
+    }
+    n = static_cast<std::size_t>(v);
+  }
+
+  void cache(DecodedStreamCache& c) {
+    walk_cache_counters(*this, c);
+    std::size_t n = 0;
+    count(n, "cache entry");
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t key = 0;
+      i64(key);
+      auto ds = std::make_shared<DecodedStream>();
+      ds->image = deserialize_vbs(get_bitvec(r));
+      std::size_t npayloads = 0;
+      count(npayloads, "payload");
+      ds->payloads.resize(npayloads);
+      for (BitVector& p : ds->payloads) p = get_bitvec(r);
+      walk_decode(*this, ds->decode);
+      c.restore_entry(key, std::move(ds));
+    }
+  }
+  void task_tail(TaskRecord& rec, ReconfigController& rtc) {
+    i32(rec.threads_used);
+    rtc.restore_task(rec, deserialize_vbs(get_bitvec(r)));
+  }
+  void queued_stream(BitVector& stream, bool) { stream = get_bitvec(r); }
+};
 
 constexpr std::uint32_t kSnapshotVersion = 2;
 constexpr std::uint32_t kOpenVersion = 1;
 
 }  // namespace
 
+template <class Self, class Ar>
+void ReconfigService::walk_state(Self& self, Ar& ar) {
+  // Controller: counters, aggregate decode stats, then the tasks.
+  TaskId next_task = self.rtc_.next_task_id();
+  std::uint64_t decode_seq = self.rtc_.decode_seq();
+  std::uint64_t alloc_seq = self.rtc_.alloc_seq();
+  DecodeStats total = self.rtc_.total_decode_stats();
+  ar.i32(next_task);
+  ar.i64(decode_seq, alloc_seq);
+  walk_decode(ar, total);
+  if constexpr (Ar::kReading) {
+    self.rtc_.restore_counters(next_task, decode_seq, alloc_seq);
+    self.rtc_.set_total_decode_stats(total);
+  }
+  const std::vector<TaskId> ids = self.rtc_.task_ids();  // none when reading
+  std::size_t ntasks = ids.size();
+  ar.count(ntasks, "task");
+  for (std::size_t i = 0; i < ntasks; ++i) {
+    TaskRecord rec;
+    if constexpr (!Ar::kReading) rec = self.rtc_.record(ids[i]);
+    ar.i32(rec.id, rec.rect.x, rec.rect.y, rec.rect.w, rec.rect.h);
+    ar.i64(rec.stream_bits);
+    walk_decode(ar, rec.decode);
+    ar.task_tail(rec, self.rtc_);
+  }
+  ar.cache(self.cache_);
+  // Service scalars and tables.
+  ar.i64(self.next_request_, self.use_seq_, self.now_ticks_, self.live_loads_,
+         self.last_shed_);
+  walk_map(ar, self.tenant_priority_, "priority",
+           [&](auto& tenant, auto& prio) { ar.i32(tenant, prio); });
+  walk_map(ar, self.tenants_, "tenant", [&](auto& tenant, auto& t) {
+    ar.i32(tenant, t.priority);
+    ar.i64(t.submitted, t.done, t.rejected, t.failed, t.shed,
+           t.deadline_misses, t.retries, t.latency_ticks, t.queue_wait_ticks,
+           t.backoff_ticks, t.spike_ticks, t.exec_ticks);
+  });
+  walk_map(ar, self.task_of_request_, "request-map",
+           [&](auto& req, auto& task) {
+             ar.i64(req);
+             ar.i32(task);
+           });
+  walk_map(ar, self.task_info_, "task-info", [&](auto& task, auto& info) {
+    ar.i32(task);
+    ar.i64(info.content_hash, info.last_use, info.origin_request);
+  });
+  walk_seq(ar, self.eviction_log_, "eviction", [&](auto& e) {
+    ar.i64(e.seq);
+    ar.i32(e.task, e.rect.x, e.rect.y, e.rect.w, e.rect.h);
+    ar.i64(e.cause);
+  });
+  auto& st = self.stats_;
+  ar.i64(st.loads, st.unloads, st.relocates, st.rejected, st.failed, st.shed,
+         st.deadline_misses, st.retries, st.faults_injected,
+         st.latency_spike_ticks, st.warm_loads, st.cold_loads,
+         st.relocates_cached, st.relocates_decoded, st.batches,
+         st.task_evictions);
+  walk_decode(ar, st.decode);
+  walk_seq(ar, self.queue_, "queue", [&](auto& q) {
+    ar.i64(q.id);
+    ar.enum8(q.kind, RequestKind::kRelocate, "queued request kind");
+    ar.queued_stream(q.stream, q.kind == RequestKind::kLoad);
+    ar.i64(q.target);
+    ar.i32(q.tenant, q.priority, q.attempt);
+    ar.bit(q.shed);
+    ar.i64(q.submitted_tick, q.not_before, q.retry_tick, q.queue_wait_ticks,
+           q.backoff_ticks, q.spike_ticks, q.exec_ticks);
+    // Wall clock is not part of the contract; restamp on the telemetry
+    // clock so a restored request still reports a sane wall latency.
+    if constexpr (Ar::kReading) q.submitted_ns = telem::now_ns();
+  });
+}
+
 std::uint64_t ReconfigService::state_fingerprint() const {
-  constexpr char kTag[] = "vbs.service.state.v1";
-  std::uint64_t h = fnv1a64(kTag, sizeof kTag - 1);
+  StateHasher ar;
   // Configuration memory: the paper-level ground truth.
   const BitVector& config = rtc_.config_memory();
-  for (const std::uint64_t w : config.words()) fp_u64(h, w);
-  fp_u64(h, config.size());
-  // Controller: tasks, serial fault counters, aggregate decode stats.
-  fp_i64(h, rtc_.next_task_id());
-  fp_u64(h, rtc_.decode_seq());
-  fp_u64(h, rtc_.alloc_seq());
-  fp_decode(h, rtc_.total_decode_stats());
-  const std::vector<TaskId> ids = rtc_.task_ids();
-  fp_u64(h, ids.size());
-  for (const TaskId id : ids) {
-    const TaskRecord& rec = rtc_.record(id);
-    fp_i64(h, id);
-    fp_rect(h, rec.rect);
-    fp_u64(h, rec.stream_bits);
-    fp_decode(h, rec.decode);  // wall time and threads_used excluded
-  }
-  // Cache: content keys in MRU order, counters, the insertion fault clock.
-  const auto entries = cache_.entries_mru();
-  fp_u64(h, entries.size());
-  for (const auto& [key, value] : entries) {
-    fp_u64(h, key);  // key IS the content hash; payload bytes add nothing
-    fp_u64(h, value->footprint_bits());
-  }
-  fp_u64(h, cache_.size_bits());
-  fp_i64(h, cache_.hits());
-  fp_i64(h, cache_.misses());
-  fp_i64(h, cache_.insertions());
-  fp_i64(h, cache_.evictions());
-  fp_i64(h, cache_.fault_drops());
-  fp_u64(h, cache_.insert_seq());
-  // Service scalars: request ids, the modeled clock, admission state.
-  fp_i64(h, next_request_);
-  fp_u64(h, use_seq_);
-  fp_i64(h, now_ticks_);
-  fp_u64(h, live_loads_);
-  fp_i64(h, last_shed_);
-  fp_u64(h, tenant_priority_.size());
-  for (const auto& [tenant, prio] : tenant_priority_) {
-    fp_i64(h, tenant);
-    fp_i64(h, prio);
-  }
-  fp_u64(h, tenants_.size());
-  for (const auto& [tenant, t] : tenants_) {
-    fp_i64(h, tenant);
-    fp_i64(h, t.priority);
-    fp_i64(h, t.submitted);
-    fp_i64(h, t.done);
-    fp_i64(h, t.rejected);
-    fp_i64(h, t.failed);
-    fp_i64(h, t.shed);
-    fp_i64(h, t.deadline_misses);
-    fp_i64(h, t.retries);
-    fp_i64(h, t.latency_ticks);
-    fp_i64(h, t.queue_wait_ticks);
-    fp_i64(h, t.backoff_ticks);
-    fp_i64(h, t.spike_ticks);
-    fp_i64(h, t.exec_ticks);
-  }
-  fp_u64(h, task_of_request_.size());
-  for (const auto& [req, task] : task_of_request_) {
-    fp_i64(h, req);
-    fp_i64(h, task);
-  }
-  fp_u64(h, task_info_.size());
-  for (const auto& [task, info] : task_info_) {
-    fp_i64(h, task);
-    fp_u64(h, info.content_hash);
-    fp_u64(h, info.last_use);
-    fp_i64(h, info.origin_request);
-  }
-  fp_u64(h, eviction_log_.size());
-  for (const EvictionEvent& e : eviction_log_) {
-    fp_i64(h, e.seq);
-    fp_i64(h, e.task);
-    fp_rect(h, e.rect);
-    fp_i64(h, e.cause);
-  }
-  fp_i64(h, stats_.loads);
-  fp_i64(h, stats_.unloads);
-  fp_i64(h, stats_.relocates);
-  fp_i64(h, stats_.rejected);
-  fp_i64(h, stats_.failed);
-  fp_i64(h, stats_.shed);
-  fp_i64(h, stats_.deadline_misses);
-  fp_i64(h, stats_.retries);
-  fp_i64(h, stats_.faults_injected);
-  fp_i64(h, stats_.latency_spike_ticks);
-  fp_i64(h, stats_.warm_loads);
-  fp_i64(h, stats_.cold_loads);
-  fp_i64(h, stats_.relocates_cached);
-  fp_i64(h, stats_.relocates_decoded);
-  fp_i64(h, stats_.batches);
-  fp_i64(h, stats_.task_evictions);
-  fp_decode(h, stats_.decode);
-  fp_u64(h, queue_.size());
-  for (const Request& q : queue_) {
-    fp_i64(h, q.id);
-    fp_i64(h, static_cast<int>(q.kind));
-    fp_u64(h, q.kind == RequestKind::kLoad ? stream_content_hash(q.stream)
-                                           : 0);
-    fp_i64(h, q.target);
-    fp_i64(h, q.tenant);
-    fp_i64(h, q.priority);
-    fp_i64(h, q.attempt);
-    fp_i64(h, q.shed ? 1 : 0);
-    fp_i64(h, q.submitted_tick);
-    fp_i64(h, q.not_before);
-    fp_i64(h, q.retry_tick);
-    fp_i64(h, q.queue_wait_ticks);
-    fp_i64(h, q.backoff_ticks);
-    fp_i64(h, q.spike_ticks);
-    fp_i64(h, q.exec_ticks);
-  }
-  return h;
+  for (const std::uint64_t w : config.words()) ar.i64(w);
+  ar.i64(config.size());
+  walk_state(*this, ar);
+  return ar.value();
 }
 
 std::string ReconfigService::serialize_open() const {
@@ -990,278 +1106,25 @@ std::unique_ptr<ReconfigService> ReconfigService::construct_from_open(
 }
 
 BitVector ReconfigService::serialize_snapshot() const {
-  BitWriter w;
-  w.write(kSnapshotVersion, 32);
-  put_bytes(w, serialize_open());
-  // Controller.
-  put_bitvec(w, rtc_.config_memory());
-  artio::put_i32(w, rtc_.next_task_id());
-  w.write(rtc_.decode_seq(), 64);
-  w.write(rtc_.alloc_seq(), 64);
-  put_decode_stats(w, rtc_.total_decode_stats());
-  const std::vector<TaskId> ids = rtc_.task_ids();
-  artio::put_i32(w, static_cast<std::int32_t>(ids.size()));
-  for (const TaskId id : ids) {
-    const TaskRecord& rec = rtc_.record(id);
-    artio::put_i32(w, id);
-    put_rect(w, rec.rect);
-    artio::put_i64(w, static_cast<std::int64_t>(rec.stream_bits));
-    put_decode_stats(w, rec.decode);
-    artio::put_i32(w, rec.threads_used);
-    put_bitvec(w, serialize_vbs(rtc_.image_of(id)));
-  }
-  // Cache (entries MRU -> LRU; restore_entry rebuilds the same order).
-  artio::put_i64(w, cache_.hits());
-  artio::put_i64(w, cache_.misses());
-  artio::put_i64(w, cache_.insertions());
-  artio::put_i64(w, cache_.evictions());
-  artio::put_i64(w, cache_.fault_drops());
-  w.write(cache_.insert_seq(), 64);
-  const auto entries = cache_.entries_mru();
-  artio::put_i32(w, static_cast<std::int32_t>(entries.size()));
-  for (const auto& [key, value] : entries) {
-    w.write(key, 64);
-    put_bitvec(w, serialize_vbs(value->image));
-    artio::put_i32(w, static_cast<std::int32_t>(value->payloads.size()));
-    for (const BitVector& p : value->payloads) put_bitvec(w, p);
-    put_decode_stats(w, value->decode);
-  }
-  // Service scalars and tables.
-  artio::put_i64(w, next_request_);
-  w.write(use_seq_, 64);
-  artio::put_i64(w, now_ticks_);
-  artio::put_i64(w, static_cast<std::int64_t>(live_loads_));
-  artio::put_i64(w, last_shed_);
-  artio::put_i32(w, static_cast<std::int32_t>(tenant_priority_.size()));
-  for (const auto& [tenant, prio] : tenant_priority_) {
-    artio::put_i32(w, tenant);
-    artio::put_i32(w, prio);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(tenants_.size()));
-  for (const auto& [tenant, t] : tenants_) {
-    artio::put_i32(w, tenant);
-    artio::put_i32(w, t.priority);
-    artio::put_i64(w, t.submitted);
-    artio::put_i64(w, t.done);
-    artio::put_i64(w, t.rejected);
-    artio::put_i64(w, t.failed);
-    artio::put_i64(w, t.shed);
-    artio::put_i64(w, t.deadline_misses);
-    artio::put_i64(w, t.retries);
-    artio::put_i64(w, t.latency_ticks);
-    artio::put_i64(w, t.queue_wait_ticks);
-    artio::put_i64(w, t.backoff_ticks);
-    artio::put_i64(w, t.spike_ticks);
-    artio::put_i64(w, t.exec_ticks);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(task_of_request_.size()));
-  for (const auto& [req, task] : task_of_request_) {
-    artio::put_i64(w, req);
-    artio::put_i32(w, task);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(task_info_.size()));
-  for (const auto& [task, info] : task_info_) {
-    artio::put_i32(w, task);
-    w.write(info.content_hash, 64);
-    w.write(info.last_use, 64);
-    artio::put_i64(w, info.origin_request);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(eviction_log_.size()));
-  for (const EvictionEvent& e : eviction_log_) {
-    artio::put_i64(w, e.seq);
-    artio::put_i32(w, e.task);
-    put_rect(w, e.rect);
-    artio::put_i64(w, e.cause);
-  }
-  artio::put_i64(w, stats_.loads);
-  artio::put_i64(w, stats_.unloads);
-  artio::put_i64(w, stats_.relocates);
-  artio::put_i64(w, stats_.rejected);
-  artio::put_i64(w, stats_.failed);
-  artio::put_i64(w, stats_.shed);
-  artio::put_i64(w, stats_.deadline_misses);
-  artio::put_i64(w, stats_.retries);
-  artio::put_i64(w, stats_.faults_injected);
-  artio::put_i64(w, stats_.latency_spike_ticks);
-  artio::put_i64(w, stats_.warm_loads);
-  artio::put_i64(w, stats_.cold_loads);
-  artio::put_i64(w, stats_.relocates_cached);
-  artio::put_i64(w, stats_.relocates_decoded);
-  artio::put_i64(w, stats_.batches);
-  artio::put_i64(w, stats_.task_evictions);
-  put_decode_stats(w, stats_.decode);
-  artio::put_i32(w, static_cast<std::int32_t>(queue_.size()));
-  for (const Request& q : queue_) {
-    artio::put_i64(w, q.id);
-    w.write(static_cast<std::uint64_t>(q.kind), 8);
-    put_bitvec(w, q.stream);
-    artio::put_i64(w, q.target);
-    artio::put_i32(w, q.tenant);
-    artio::put_i32(w, q.priority);
-    artio::put_i32(w, q.attempt);
-    w.write_bit(q.shed);
-    artio::put_i64(w, q.submitted_tick);
-    artio::put_i64(w, q.not_before);
-    artio::put_i64(w, q.retry_tick);
-    artio::put_i64(w, q.queue_wait_ticks);
-    artio::put_i64(w, q.backoff_ticks);
-    artio::put_i64(w, q.spike_ticks);
-    artio::put_i64(w, q.exec_ticks);
-  }
-  return w.take();
+  StateWriter ar;
+  ar.w.write(kSnapshotVersion, 32);
+  put_bytes(ar.w, serialize_open());
+  put_bitvec(ar.w, rtc_.config_memory());
+  walk_state(*this, ar);
+  return ar.w.take();
 }
 
 std::unique_ptr<ReconfigService> ReconfigService::restore_snapshot(
     const BitVector& snapshot, int threads) {
   try {
-    BitReader r(snapshot);
-    if (r.read(32) != kSnapshotVersion) {
+    StateReader ar(snapshot);
+    if (ar.r.read(32) != kSnapshotVersion) {
       bad_journal("unsupported snapshot version");
     }
-    auto svc = construct_from_open(get_bytes(r), threads);
-    // Controller.
-    svc->rtc_.restore_config_memory(get_bitvec(r));
-    const TaskId next_id = artio::get_i32(r);
-    const std::uint64_t decode_seq = r.read(64);
-    const std::uint64_t alloc_seq = r.read(64);
-    svc->rtc_.restore_counters(next_id, decode_seq, alloc_seq);
-    svc->rtc_.set_total_decode_stats(get_decode_stats(r));
-    const std::int32_t ntasks = artio::get_i32(r);
-    check_count(r, ntasks, 64, "task");
-    for (std::int32_t i = 0; i < ntasks; ++i) {
-      TaskRecord rec;
-      rec.id = artio::get_i32(r);
-      rec.rect = get_rect(r);
-      rec.stream_bits = static_cast<std::size_t>(artio::get_i64(r));
-      rec.decode = get_decode_stats(r);
-      rec.threads_used = artio::get_i32(r);
-      svc->rtc_.restore_task(rec, deserialize_vbs(get_bitvec(r)));
-    }
-    // Cache.
-    const long long hits = artio::get_i64(r);
-    const long long misses = artio::get_i64(r);
-    const long long insertions = artio::get_i64(r);
-    const long long evictions = artio::get_i64(r);
-    const long long fault_drops = artio::get_i64(r);
-    const std::uint64_t insert_seq = r.read(64);
-    svc->cache_.restore_counters(hits, misses, insertions, evictions,
-                                 fault_drops, insert_seq);
-    const std::int32_t nentries = artio::get_i32(r);
-    check_count(r, nentries, 64, "cache entry");
-    for (std::int32_t i = 0; i < nentries; ++i) {
-      const std::uint64_t key = r.read(64);
-      auto ds = std::make_shared<DecodedStream>();
-      ds->image = deserialize_vbs(get_bitvec(r));
-      const std::int32_t npayloads = artio::get_i32(r);
-      check_count(r, npayloads, 64, "payload");
-      ds->payloads.resize(static_cast<std::size_t>(npayloads));
-      for (BitVector& p : ds->payloads) p = get_bitvec(r);
-      ds->decode = get_decode_stats(r);
-      svc->cache_.restore_entry(key, std::move(ds));
-    }
-    // Service scalars and tables.
-    svc->next_request_ = artio::get_i64(r);
-    svc->use_seq_ = r.read(64);
-    svc->now_ticks_ = artio::get_i64(r);
-    svc->live_loads_ = static_cast<std::size_t>(artio::get_i64(r));
-    svc->last_shed_ = artio::get_i64(r);
-    const std::int32_t nprio = artio::get_i32(r);
-    check_count(r, nprio, 64, "priority");
-    for (std::int32_t i = 0; i < nprio; ++i) {
-      const int tenant = artio::get_i32(r);
-      svc->tenant_priority_[tenant] = artio::get_i32(r);
-    }
-    const std::int32_t ntenants = artio::get_i32(r);
-    check_count(r, ntenants, 64, "tenant");
-    for (std::int32_t i = 0; i < ntenants; ++i) {
-      const int tenant = artio::get_i32(r);
-      TenantStats& t = svc->tenants_[tenant];
-      t.priority = artio::get_i32(r);
-      t.submitted = artio::get_i64(r);
-      t.done = artio::get_i64(r);
-      t.rejected = artio::get_i64(r);
-      t.failed = artio::get_i64(r);
-      t.shed = artio::get_i64(r);
-      t.deadline_misses = artio::get_i64(r);
-      t.retries = artio::get_i64(r);
-      t.latency_ticks = artio::get_i64(r);
-      t.queue_wait_ticks = artio::get_i64(r);
-      t.backoff_ticks = artio::get_i64(r);
-      t.spike_ticks = artio::get_i64(r);
-      t.exec_ticks = artio::get_i64(r);
-    }
-    const std::int32_t nreq = artio::get_i32(r);
-    check_count(r, nreq, 64, "request-map");
-    for (std::int32_t i = 0; i < nreq; ++i) {
-      const RequestId req = artio::get_i64(r);
-      svc->task_of_request_[req] = artio::get_i32(r);
-    }
-    const std::int32_t ninfo = artio::get_i32(r);
-    check_count(r, ninfo, 64, "task-info");
-    for (std::int32_t i = 0; i < ninfo; ++i) {
-      const TaskId task = artio::get_i32(r);
-      TaskInfo& info = svc->task_info_[task];
-      info.content_hash = r.read(64);
-      info.last_use = r.read(64);
-      info.origin_request = artio::get_i64(r);
-    }
-    const std::int32_t nevict = artio::get_i32(r);
-    check_count(r, nevict, 64, "eviction");
-    svc->eviction_log_.reserve(static_cast<std::size_t>(nevict));
-    for (std::int32_t i = 0; i < nevict; ++i) {
-      EvictionEvent e;
-      e.seq = artio::get_i64(r);
-      e.task = artio::get_i32(r);
-      e.rect = get_rect(r);
-      e.cause = artio::get_i64(r);
-      svc->eviction_log_.push_back(e);
-    }
-    svc->stats_.loads = artio::get_i64(r);
-    svc->stats_.unloads = artio::get_i64(r);
-    svc->stats_.relocates = artio::get_i64(r);
-    svc->stats_.rejected = artio::get_i64(r);
-    svc->stats_.failed = artio::get_i64(r);
-    svc->stats_.shed = artio::get_i64(r);
-    svc->stats_.deadline_misses = artio::get_i64(r);
-    svc->stats_.retries = artio::get_i64(r);
-    svc->stats_.faults_injected = artio::get_i64(r);
-    svc->stats_.latency_spike_ticks = artio::get_i64(r);
-    svc->stats_.warm_loads = artio::get_i64(r);
-    svc->stats_.cold_loads = artio::get_i64(r);
-    svc->stats_.relocates_cached = artio::get_i64(r);
-    svc->stats_.relocates_decoded = artio::get_i64(r);
-    svc->stats_.batches = artio::get_i64(r);
-    svc->stats_.task_evictions = artio::get_i64(r);
-    svc->stats_.decode = get_decode_stats(r);
-    const std::int32_t nqueue = artio::get_i32(r);
-    check_count(r, nqueue, 64, "queue");
-    for (std::int32_t i = 0; i < nqueue; ++i) {
-      Request q;
-      q.id = artio::get_i64(r);
-      const std::uint64_t kind = r.read(8);
-      if (kind > static_cast<std::uint64_t>(RequestKind::kRelocate)) {
-        bad_journal("bad queued request kind");
-      }
-      q.kind = static_cast<RequestKind>(kind);
-      q.stream = get_bitvec(r);
-      q.target = artio::get_i64(r);
-      q.tenant = artio::get_i32(r);
-      q.priority = artio::get_i32(r);
-      q.attempt = artio::get_i32(r);
-      q.shed = r.read_bit();
-      q.submitted_tick = artio::get_i64(r);
-      q.not_before = artio::get_i64(r);
-      q.retry_tick = artio::get_i64(r);
-      q.queue_wait_ticks = artio::get_i64(r);
-      q.backoff_ticks = artio::get_i64(r);
-      q.spike_ticks = artio::get_i64(r);
-      q.exec_ticks = artio::get_i64(r);
-      // Wall clock is not part of the contract; restamp on the telemetry
-      // clock so the restored request still reports a sane wall latency.
-      q.submitted_ns = telem::now_ns();
-      svc->queue_.push_back(std::move(q));
-    }
-    if (!r.at_end()) bad_journal("trailing snapshot bits");
+    auto svc = construct_from_open(get_bytes(ar.r), threads);
+    svc->rtc_.restore_config_memory(get_bitvec(ar.r));
+    walk_state(*svc, ar);
+    if (!ar.r.at_end()) bad_journal("trailing snapshot bits");
     return svc;
   } catch (const VbsError& e) {
     if (e.code() == VbsErrc::kBadJournal) throw;

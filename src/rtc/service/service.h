@@ -356,6 +356,11 @@ class ReconfigService {
   /// open section decides the construction parameters).
   static std::unique_ptr<ReconfigService> restore_snapshot(
       const BitVector& snapshot, int threads);
+  /// The one list of state_fingerprint / snapshot fields, in order; `Self`
+  /// is const for the hashing and writing archives (service.cpp). A new
+  /// state field goes here and nowhere else.
+  template <class Self, class Ar>
+  static void walk_state(Self& self, Ar& ar);
   static std::unique_ptr<ReconfigService> construct_from_open(
       const std::string& open_payload, int threads);
   /// Appends to the journal, detaching it on a (typed) I/O failure.

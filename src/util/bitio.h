@@ -14,17 +14,6 @@
 
 namespace vbs {
 
-/// Thrown on any malformed Virtual Bit-Stream: BitReader throws it with
-/// the default kTruncated code on a read past the end of the stream, and
-/// the format layer (vbs/vbs_format.cpp) throws it with a specific
-/// VbsErrc for every structural rejection.
-class BitstreamError : public VbsError {
- public:
-  explicit BitstreamError(const std::string& what,
-                          VbsErrc code = VbsErrc::kTruncated)
-      : VbsError(code, what) {}
-};
-
 class BitWriter {
  public:
   /// Appends the low `nbits` of `value`, MSB first. nbits may be 0.

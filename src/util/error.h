@@ -4,10 +4,8 @@
 // Anything that consumes bytes it did not produce (a serialized VBS, a
 // .vbs/.art file, a trace text) rejects malformed input by throwing a
 // VbsError carrying a stable VbsErrc code — never an assert, never
-// undefined behaviour, never silent garbage. The legacy exception types
-// (BitstreamError, ArtifactError, TraceError) derive from VbsError so
-// existing catch sites keep working while new code can dispatch on the
-// code alone.
+// undefined behaviour, never silent garbage. Catch sites dispatch on the
+// code alone; the one subclass, TraceError, adds the offending line.
 //
 // The numeric code values are a stable contract: tools expose them as
 // process exit codes (exit_code_for) and in --json error objects, so they

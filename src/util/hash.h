@@ -1,8 +1,9 @@
 // 64-bit FNV-1a hashing: the one hash behind every content hash,
 // checksum and fingerprint in the code base (artifact containers, VBS
 // files, journal records, wire frames, the decoded-stream cache and the
-// service state fingerprint). The byte order of hash_u64 is part of every
-// stored format, so these functions must never change.
+// service state fingerprint), plus the splitmix64 bit mixer. The byte order
+// of hash_u64 is part of every stored format, so these functions must never
+// change.
 #pragma once
 
 #include <bit>
@@ -32,6 +33,19 @@ inline std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v) {
     h *= kFnvPrime64;
   }
   return h;
+}
+
+/// splitmix64's increment (the 64-bit golden ratio).
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64 (Steele, Lea & Flood): adds the increment, then mixes. The one
+/// bit mixer behind fault rolls, Rng seeding, connection fault keys and wire
+/// auth tokens; like hash_u64 its output is pinned by golden values.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitmixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
 }
 
 inline std::uint64_t hash_double(std::uint64_t h, double v) {

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <cassert>
 
+#include "util/hash.h"
+
 namespace vbs {
 
 /// xoshiro256** seeded via splitmix64. Small, fast, and good enough for
@@ -18,11 +20,8 @@ class Rng {
     // splitmix64 seeding, per Vigna's reference implementation.
     std::uint64_t x = seed;
     for (auto& word : s_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = splitmix64(x);
+      x += kSplitmixGamma;
     }
   }
 

@@ -6,8 +6,6 @@ namespace vbs {
 
 ThreadPool::ThreadPool(int threads) {
   const int n = std::max(1, threads);
-  shards_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
   workers_.reserve(static_cast<std::size_t>(n - 1));
   for (int rank = 1; rank < n; ++rank) {
     workers_.emplace_back([this, rank] { worker_main(rank); });
@@ -23,70 +21,25 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-bool ThreadPool::next_index(int rank, std::size_t* out) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (abort_) return false;
-  }
-  // Own shard first: front pop, cache-friendly sequential order.
-  {
-    Shard& own = *shards_[static_cast<std::size_t>(rank)];
-    std::lock_guard<std::mutex> lk(own.m);
-    if (own.lo < own.hi) {
-      *out = own.lo++;
-      return true;
-    }
-  }
-  // Steal the back half of the richest victim's remaining block. Scan order
-  // starts after our own rank so thieves spread across victims.
-  const int p = size();
-  for (int off = 1; off < p; ++off) {
-    const int victim = (rank + off) % p;
-    std::size_t lo = 0;
-    std::size_t take = 0;
-    {
-      Shard& v = *shards_[static_cast<std::size_t>(victim)];
-      std::lock_guard<std::mutex> lk(v.m);
-      const std::size_t n = v.hi - v.lo;
-      if (n == 0) continue;
-      take = (n + 1) / 2;
-      lo = v.hi - take;
-      v.hi = lo;
-    }
-    // Keep one index, deposit the rest into our own (empty) shard. Victim
-    // and own locks are never held together, so lock order cannot cycle.
-    if (take > 1) {
-      Shard& own = *shards_[static_cast<std::size_t>(rank)];
-      std::lock_guard<std::mutex> lk(own.m);
-      own.lo = lo + 1;
-      own.hi = lo + take;
-    }
-    *out = lo;
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::drain(int rank,
-                       const std::function<void(int, std::size_t)>& fn) {
-  std::size_t idx = 0;
-  while (next_index(rank, &idx)) {
+void ThreadPool::drain(int rank, const Fn& fn, std::size_t n) {
+  while (!abort_) {
+    const std::size_t i = next_++;
+    if (i >= n) return;
     try {
-      fn(rank, idx);
+      fn(rank, i);
     } catch (...) {
       std::lock_guard<std::mutex> lk(m_);
       if (!error_) error_ = std::current_exception();
       abort_ = true;
     }
-    std::lock_guard<std::mutex> lk(m_);
-    if (--unfinished_ == 0) done_cv_.notify_all();
   }
 }
 
 void ThreadPool::worker_main(int rank) {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(int, std::size_t)>* job = nullptr;
+    const Fn* job = nullptr;
+    std::size_t n = 0;
     {
       std::unique_lock<std::mutex> lk(m_);
       work_cv_.wait(lk, [&] {
@@ -95,9 +48,10 @@ void ThreadPool::worker_main(int rank) {
       if (stop_) return;
       seen = job_id_;
       job = job_;
+      n = job_n_;
       ++active_workers_;
     }
-    drain(rank, *job);
+    drain(rank, *job, n);
     {
       std::lock_guard<std::mutex> lk(m_);
       if (--active_workers_ == 0) done_cv_.notify_all();
@@ -105,49 +59,35 @@ void ThreadPool::worker_main(int rank) {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(int, std::size_t)>& fn) {
+void ThreadPool::parallel_for(std::size_t n, const Fn& fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
   {
-    std::lock_guard<std::mutex> lk(m_);
     // The previous job's completion wait guarantees no worker is still
-    // inside drain(), so the shards can be repartitioned safely.
-    const auto p = static_cast<std::size_t>(size());
-    const std::size_t base = n / p;
-    std::size_t rem = n % p;
-    std::size_t at = 0;
-    for (std::size_t r = 0; r < p; ++r) {
-      const std::size_t cnt = base + (r < rem ? 1 : 0);
-      Shard& s = *shards_[r];
-      std::lock_guard<std::mutex> sl(s.m);
-      s.lo = at;
-      s.hi = at + cnt;
-      at += cnt;
-    }
-    unfinished_ = n;
+    // inside drain(), so the cursor can be reset safely.
+    std::lock_guard<std::mutex> lk(m_);
+    next_ = 0;
     abort_ = false;
     job_ = &fn;
+    job_n_ = n;
     ++job_id_;
   }
   work_cv_.notify_all();
-  drain(0, fn);
-  {
-    std::unique_lock<std::mutex> lk(m_);
-    done_cv_.wait(lk, [&] {
-      return (unfinished_ == 0 || abort_) && active_workers_ == 0;
-    });
-    job_ = nullptr;
-    if (error_) {
-      std::exception_ptr e = error_;
-      error_ = nullptr;
-      abort_ = false;
-      lk.unlock();
-      std::rethrow_exception(e);
-    }
+  drain(0, fn, n);
+  // Every index is claimed once the caller's drain returns; what may still
+  // run is held by workers inside drain(). Workers that never woke for this
+  // job find job_ cleared (or a later job) and stay out of it.
+  std::unique_lock<std::mutex> lk(m_);
+  done_cv_.wait(lk, [&] { return active_workers_ == 0; });
+  job_ = nullptr;
+  if (error_) {
+    std::exception_ptr e = error_;
+    error_ = nullptr;
+    lk.unlock();
+    std::rethrow_exception(e);
   }
 }
 

@@ -189,37 +189,35 @@ VbsImage deserialize_vbs(const BitVector& bits) {
   BitReader r(bits);
   const auto version = r.read(4);
   if (version != kVersion) {
-    throw BitstreamError("VBS: unsupported format version",
-                         VbsErrc::kBadVersion);
+    throw VbsError(VbsErrc::kBadVersion, "VBS: unsupported format version");
   }
   VbsImage img;
   img.spec.chan_width = static_cast<int>(r.read(8));
   img.spec.lut_k = static_cast<int>(r.read(4));
   const auto pattern = r.read(2);
   if (pattern > 1) {
-    throw BitstreamError("VBS: unknown switch-box pattern",
-                         VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: unknown switch-box pattern");
   }
   img.spec.sb_pattern = static_cast<SbPattern>(pattern);
   img.compact_fanout = r.read_bit();
   try {
     img.spec.validate();
   } catch (const std::exception& ex) {
-    throw BitstreamError(std::string("VBS: bad architecture: ") + ex.what(),
-                         VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader,
+                   std::string("VBS: bad architecture: ") + ex.what());
   }
   img.cluster = static_cast<int>(r.read(6));
   if (img.cluster < 1) {
-    throw BitstreamError("VBS: bad cluster size", VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: bad cluster size");
   }
   const unsigned dim = static_cast<unsigned>(r.read(6));
   if (dim == 0 || dim > 16) {
-    throw BitstreamError("VBS: bad dimension width", VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: bad dimension width");
   }
   img.task_w = static_cast<int>(r.read(dim));
   img.task_h = static_cast<int>(r.read(dim));
   if (img.task_w < 1 || img.task_h < 1) {
-    throw BitstreamError("VBS: bad task dimensions", VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: bad task dimensions");
   }
   // Resource guards: a well-formed header may still describe a task whose
   // decode-time footprint (region models, per-entry raw payloads) would be
@@ -228,27 +226,26 @@ VbsImage deserialize_vbs(const BitVector& bits) {
   // fabrics (or this repo's encoder) produce.
   if (static_cast<std::uint64_t>(img.task_w) * img.task_h >
       kMaxTaskMacros) {
-    throw BitstreamError("VBS: task area exceeds resource limit",
-                         VbsErrc::kResourceLimit);
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "VBS: task area exceeds resource limit");
   }
   if (static_cast<std::uint64_t>(img.cluster) * img.cluster *
           static_cast<std::uint64_t>(img.spec.nraw_bits()) >
       kMaxEntryConfigBits) {
-    throw BitstreamError("VBS: per-entry region exceeds resource limit",
-                         VbsErrc::kResourceLimit);
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "VBS: per-entry region exceeds resource limit");
   }
   const FieldWidths fw = widths_of(img);
   if (fw.dim != dim) {
-    throw BitstreamError("VBS: inconsistent dimension width",
-                         VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: inconsistent dimension width");
   }
   const auto n_entries = r.read(fw.entry);
   const int c = img.cluster;
   const std::uint64_t grid_cells =
       static_cast<std::uint64_t>(img.cluster_grid_w()) * img.cluster_grid_h();
   if (n_entries > grid_cells) {
-    throw BitstreamError("VBS: more entries than cluster positions",
-                         VbsErrc::kBadEntry);
+    throw VbsError(VbsErrc::kBadEntry,
+                   "VBS: more entries than cluster positions");
   }
   std::vector<bool> seen_pos(static_cast<std::size_t>(grid_cells), false);
 
@@ -258,14 +255,12 @@ VbsImage deserialize_vbs(const BitVector& bits) {
     e.cx = static_cast<std::uint16_t>(r.read(fw.dim));
     e.cy = static_cast<std::uint16_t>(r.read(fw.dim));
     if (e.cx >= img.cluster_grid_w() || e.cy >= img.cluster_grid_h()) {
-      throw BitstreamError("VBS: entry position out of range",
-                           VbsErrc::kBadEntry);
+      throw VbsError(VbsErrc::kBadEntry, "VBS: entry position out of range");
     }
     const std::size_t pos =
         static_cast<std::size_t>(e.cy) * img.cluster_grid_w() + e.cx;
     if (seen_pos[pos]) {
-      throw BitstreamError("VBS: duplicate entry position",
-                           VbsErrc::kBadEntry);
+      throw VbsError(VbsErrc::kBadEntry, "VBS: duplicate entry position");
     }
     seen_pos[pos] = true;
     e.logic.resize(static_cast<std::size_t>(c) * c);
@@ -291,8 +286,8 @@ VbsImage deserialize_vbs(const BitVector& bits) {
           static_cast<std::uint64_t>(c) * c * img.spec.lb_pins();
       auto checked = [&](std::uint64_t v) {
         if (v >= max_port) {
-          throw BitstreamError("VBS: connection endpoint out of range",
-                               VbsErrc::kBadConnection);
+          throw VbsError(VbsErrc::kBadConnection,
+                         "VBS: connection endpoint out of range");
         }
         return static_cast<std::uint16_t>(v);
       };
@@ -303,8 +298,8 @@ VbsImage deserialize_vbs(const BitVector& bits) {
         // has at most num_ports entries; rejecting larger counts up front
         // also bounds the reserve below by the region size.
         if (n_conns > max_port) {
-          throw BitstreamError("VBS: connection count exceeds region ports",
-                               VbsErrc::kBadConnection);
+          throw VbsError(VbsErrc::kBadConnection,
+                         "VBS: connection count exceeds region ports");
         }
         e.conns.reserve(static_cast<std::size_t>(n_conns));
         for (std::uint64_t k = 0; k < n_conns; ++k) {
@@ -312,33 +307,32 @@ VbsImage deserialize_vbs(const BitVector& bits) {
           conn.in = checked(r.read(fw.port));
           conn.out = checked(r.read(fw.port));
           if (conn.in == conn.out) {
-            throw BitstreamError("VBS: connection to itself",
-                                 VbsErrc::kBadConnection);
+            throw VbsError(VbsErrc::kBadConnection,
+                           "VBS: connection to itself");
           }
           e.conns.push_back(conn);
         }
       } else {
         const auto n_groups = r.read(fw.route);
         if (n_groups > max_port) {
-          throw BitstreamError("VBS: fan-out group count exceeds region ports",
-                               VbsErrc::kBadConnection);
+          throw VbsError(VbsErrc::kBadConnection,
+                         "VBS: fan-out group count exceeds region ports");
         }
         for (std::uint64_t g = 0; g < n_groups; ++g) {
           const std::uint16_t in = checked(r.read(fw.port));
           const auto n_outs = r.read(fw.route);
           if (n_outs == 0) {
-            throw BitstreamError("VBS: empty fan-out group",
-                                 VbsErrc::kBadConnection);
+            throw VbsError(VbsErrc::kBadConnection, "VBS: empty fan-out group");
           }
           if (e.conns.size() + n_outs > max_port) {
-            throw BitstreamError("VBS: fan-out total exceeds region ports",
-                                 VbsErrc::kBadConnection);
+            throw VbsError(VbsErrc::kBadConnection,
+                           "VBS: fan-out total exceeds region ports");
           }
           for (std::uint64_t k = 0; k < n_outs; ++k) {
             const std::uint16_t out = checked(r.read(fw.port));
             if (in == out) {
-              throw BitstreamError("VBS: connection to itself",
-                                   VbsErrc::kBadConnection);
+              throw VbsError(VbsErrc::kBadConnection,
+                             "VBS: connection to itself");
             }
             e.conns.push_back({in, out});
           }
@@ -348,7 +342,7 @@ VbsImage deserialize_vbs(const BitVector& bits) {
     img.entries.push_back(std::move(e));
   }
   if (!r.at_end()) {
-    throw BitstreamError("VBS: trailing bits", VbsErrc::kTrailingBits);
+    throw VbsError(VbsErrc::kTrailingBits, "VBS: trailing bits");
   }
   return img;
 }

@@ -87,7 +87,7 @@ inline constexpr std::uint64_t kMaxEntryConfigBits = std::uint64_t{1} << 22;
 /// measured as serialize(img).size().
 BitVector serialize_vbs(const VbsImage& img);
 
-/// Parses a serialized stream back; throws BitstreamError carrying a
+/// Parses a serialized stream back; throws VbsError carrying a
 /// specific VbsErrc on malformed input — truncation, bad version/header,
 /// duplicate or out-of-range entries, invalid connection lists, trailing
 /// bits, or a resource-limit violation. Round-trips exactly with

@@ -70,16 +70,14 @@ TEST(ErrorTaxonomy, CodesAndExitCodesAreStable) {
 }
 
 TEST(ErrorTaxonomy, LegacyExceptionTypesDeriveFromVbsError) {
-  // Existing catch (BitstreamError) / catch (std::runtime_error) sites
-  // must keep working while new code dispatches on VbsError::code().
-  const BitstreamError b("bits", VbsErrc::kBadEntry);
-  const ArtifactError a("artifact");
+  // Catch sites dispatch on VbsError::code(); the one subclass left,
+  // TraceError, carries its line on top.
+  const VbsError b(VbsErrc::kBadEntry, "bits");
   const TraceError t(4, "bad record");
-  const VbsError* vb = &b;
-  const VbsError* va = &a;
+  const std::runtime_error* rb = &b;
   const VbsError* vt = &t;
-  EXPECT_EQ(vb->code(), VbsErrc::kBadEntry);
-  EXPECT_EQ(va->code(), VbsErrc::kBadContainer);
+  EXPECT_STREQ(rb->what(), "bits");
+  EXPECT_EQ(b.code(), VbsErrc::kBadEntry);
   EXPECT_EQ(vt->code(), VbsErrc::kBadTrace);
   EXPECT_EQ(t.line(), 4);
   EXPECT_NE(std::string(t.what()).find("line 4"), std::string::npos);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <unistd.h>
 
 #include "flow/artifact_io.h"
@@ -27,6 +28,16 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Unique scratch directory, removed on destruction.
+/// The code of the VbsError `f` throws; kNone when it throws nothing.
+VbsErrc thrown_code(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const VbsError& e) {
+    return e.code();
+  }
+  return VbsErrc::kNone;
+}
+
 struct TempDir {
   explicit TempDir(const std::string& tag) {
     path = (fs::temp_directory_path() /
@@ -145,13 +156,14 @@ TEST(ArtifactIo, FileRoundTripAndRejection) {
   const std::uint64_t good_fp = 42;
   EXPECT_EQ(read_artifact_file(path, ArtifactStage::kPack, &good_fp), payload);
 
+  const auto read_code = [&](ArtifactStage stage, const std::uint64_t* fp) {
+    return thrown_code([&] { read_artifact_file(path, stage, fp); });
+  };
   // Wrong expected stage tag.
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kRoute, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_code(ArtifactStage::kRoute, &good_fp), VbsErrc::kBadContainer);
   // Fingerprint mismatch (stale / foreign checkpoint).
   const std::uint64_t bad_fp = 43;
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &bad_fp),
-               ArtifactError);
+  EXPECT_EQ(read_code(ArtifactStage::kPack, &bad_fp), VbsErrc::kBadContainer);
 
   const auto read_bytes = [&] {
     std::ifstream is(path, std::ios::binary);
@@ -167,28 +179,25 @@ TEST(ArtifactIo, FileRoundTripAndRejection) {
   std::string bad = original;
   bad[3] = '2';
   write_bytes(bad);
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_code(ArtifactStage::kPack, &good_fp), VbsErrc::kBadContainer);
 
   // Corrupted payload: content hash catches a flipped byte.
   bad = original;
   bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0x40);
   write_bytes(bad);
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_code(ArtifactStage::kPack, &good_fp), VbsErrc::kBadContainer);
 
-  // Truncated payload and truncated header.
+  // Truncated payload (its length no longer matches the declared bit
+  // count) and truncated header.
   write_bytes(original.substr(0, original.size() - 2));
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_code(ArtifactStage::kPack, &good_fp), VbsErrc::kBadContainer);
   write_bytes(original.substr(0, 10));
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_code(ArtifactStage::kPack, &good_fp), VbsErrc::kTruncated);
 }
 
 // Systematic single-bit corruption of the whole vbs.artifact.v1 header
 // (magic, stage, fingerprint, content hash, bit count — 29 bytes): every
-// one of the 232 possible flips must be caught by a typed ArtifactError.
+// one of the 232 possible flips must be caught by a typed artifact error.
 // No header bit is slack; none silently decodes to garbage.
 TEST(ArtifactIo, EveryHeaderBitFlipIsRejected) {
   TempDir dir("artifact_flip");
@@ -220,8 +229,9 @@ TEST(ArtifactIo, EveryHeaderBitFlipIsRejected) {
         read_artifact_file(path, ArtifactStage::kPack, &good_fp);
         FAIL() << "header byte " << byte << " bit " << bit
                << " flip was accepted";
-      } catch (const ArtifactError&) {
+      } catch (const VbsError& e) {
         // Typed rejection: exactly what the contract requires.
+        EXPECT_TRUE(is_artifact_error(e.code()));
       }
     }
   }
@@ -324,7 +334,8 @@ TEST(Pipeline, ResumeRejectsForeignArtifacts) {
   fs::copy_file(fs::path(dir_b.path) / "place.art",
                 fs::path(dir_a.path) / "place.art",
                 fs::copy_options::overwrite_existing);
-  EXPECT_THROW(FlowPipeline::resume_from(dir_a.path), ArtifactError);
+  EXPECT_EQ(thrown_code([&] { FlowPipeline::resume_from(dir_a.path); }),
+            VbsErrc::kBadContainer);
 }
 
 TEST(Pipeline, SaveDropsStaleDownstreamArtifacts) {

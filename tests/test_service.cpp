@@ -17,6 +17,7 @@
 #include "rtc/service/service.h"
 #include "rtc/service/stream_cache.h"
 #include "rtc/service/trace.h"
+#include "util/hash.h"
 #include "vbs/encoder.h"
 
 namespace vbs {
@@ -555,7 +556,9 @@ ReplayOutcome replay(const Trace& trace,
                      std::size_t cache_bits, ServiceOptions opts = {},
                      const std::string& journal_dir = {},
                      std::uint64_t* fingerprint_out = nullptr,
-                     const std::function<void(ReconfigService&)>& at_end = {}) {
+                     const std::function<void(ReconfigService&)>& at_end = {},
+                     const std::function<void(ReconfigService&)>& before_drain =
+                         {}) {
   opts.threads = threads;
   opts.cache_capacity_bits = cache_bits;
   ReconfigService svc(arch, trace.fabric_w, trace.fabric_h, opts);
@@ -581,6 +584,7 @@ ReplayOutcome replay(const Trace& trace,
     // Drain at tick boundaries so batches match the bench's replay shape.
     if (i + 1 == trace.events.size() ||
         trace.events[i + 1].tick != e.tick) {
+      if (before_drain) before_drain(svc);
       for (const RequestResult& r : svc.drain()) {
         out.statuses.push_back(static_cast<int>(r.status));
         out.codes.push_back(r.code);
@@ -890,6 +894,48 @@ TEST(ServiceOverload, JournaledFaultedRunRecoversIdenticallyAcrossThreads) {
 
 // --- golden state -----------------------------------------------------------
 
+/// The golden replay: trace, streams and options shared by both golden tests.
+struct GoldenRun {
+  ArchSpec arch = test_arch();
+  Trace trace;
+  std::vector<BitVector> streams;
+  ServiceOptions opts;
+  std::size_t cache_bits = 10000;
+};
+
+GoldenRun golden_run() {
+  GoldenRun g;
+  TraceGenOptions gopts;
+  gopts.pattern = ArrivalPattern::kBursty;
+  gopts.events = 80;
+  gopts.kinds = 4;
+  gopts.fabric_w = 10;
+  gopts.fabric_h = 8;
+  gopts.relocate_prob = 0.3;
+  g.trace = generate_trace(gopts);
+  for (const TraceTaskKind& k : g.trace.kinds) {
+    g.streams.push_back(
+        make_stream(k.n_lut, k.grid, k.seed, g.arch, k.cluster));
+  }
+  g.streams.back() = undecodable_stream(g.streams.front());
+  g.opts.queue_limit = 6;
+  g.opts.deadline_ticks = 10;
+  g.opts.retry_limit = 2;
+  g.opts.faults =
+      FaultPlan::parse("seed=7,decode=0.2,alloc=0.1,cache=0.15,latency=0.2x5");
+  return g;
+}
+
+/// Hash of the newest snapshot in `dir`; checks its stored fingerprint.
+std::uint64_t snapshot_hash_of(const std::string& dir,
+                               std::uint64_t expected_fp) {
+  std::uint64_t snapshot_fp = 0;
+  const std::uint64_t h = stream_content_hash(ServiceJournal::read_snapshot(
+      ServiceJournal::scan(dir).snapshot_path, &snapshot_fp));
+  EXPECT_EQ(snapshot_fp, expected_fp);
+  return h;
+}
+
 // Pins the replayed service state to fixed constants (recorded when the
 // controller, the cache and the batch path still had separate decode loops).
 // The cross-thread tests above compare runs of one build against each other,
@@ -903,27 +949,7 @@ TEST(ServiceOverload, JournaledFaultedRunRecoversIdenticallyAcrossThreads) {
 // calls exp/pow, so a platform whose libm rounds those differently would fail
 // here without any change to the service.
 TEST(Service, GoldenStateFingerprint) {
-  const ArchSpec arch = test_arch();
-  TraceGenOptions gopts;
-  gopts.pattern = ArrivalPattern::kBursty;
-  gopts.events = 80;
-  gopts.kinds = 4;
-  gopts.fabric_w = 10;
-  gopts.fabric_h = 8;
-  gopts.relocate_prob = 0.3;
-  const Trace trace = generate_trace(gopts);
-  std::vector<BitVector> streams;
-  for (const TraceTaskKind& k : trace.kinds) {
-    streams.push_back(make_stream(k.n_lut, k.grid, k.seed, arch, k.cluster));
-  }
-  streams.back() = undecodable_stream(streams.front());
-  ServiceOptions fopts;
-  fopts.queue_limit = 6;
-  fopts.deadline_ticks = 10;
-  fopts.retry_limit = 2;
-  fopts.faults =
-      FaultPlan::parse("seed=7,decode=0.2,alloc=0.1,cache=0.15,latency=0.2x5");
-  const std::size_t cache_bits = 10000;
+  const GoldenRun run = golden_run();
   struct Golden {
     int threads;
     std::uint64_t fingerprint;
@@ -942,13 +968,10 @@ TEST(Service, GoldenStateFingerprint) {
     long long evictions = 0;
     long long relocates_decoded = 0;
     const ReplayOutcome out = replay(
-        trace, streams, arch, g.threads, cache_bits, fopts, dir.path, &fp,
-        [&](ReconfigService& svc) {
+        run.trace, run.streams, run.arch, g.threads, run.cache_bits, run.opts,
+        dir.path, &fp, [&](ReconfigService& svc) {
           svc.compact_journal();
-          std::uint64_t snapshot_fp = 0;
-          snapshot_hash = stream_content_hash(ServiceJournal::read_snapshot(
-              ServiceJournal::scan(dir.path).snapshot_path, &snapshot_fp));
-          EXPECT_EQ(snapshot_fp, svc.state_fingerprint());
+          snapshot_hash = snapshot_hash_of(dir.path, svc.state_fingerprint());
           evictions = svc.cache().evictions();
           relocates_decoded = svc.stats().relocates_decoded;
         });
@@ -961,6 +984,56 @@ TEST(Service, GoldenStateFingerprint) {
               0);
     EXPECT_EQ(fp, g.fingerprint) << "threads=" << g.threads;
     EXPECT_EQ(snapshot_hash, g.snapshot_hash) << "threads=" << g.threads;
+  }
+}
+
+// The same replay, compacted before every drain whose queue is non-empty:
+// the snapshots then carry queued loads, unloads and relocates (with their
+// streams and tick accumulators), which the end-of-run compaction above
+// never sees. The trace never fills the queue to its limit, so every queued
+// shed flag is 0; retries are requeued and consumed within one drain, so no
+// snapshot holds one. Each snapshot must recover to the live fingerprint,
+// and the fingerprints and snapshot hashes of all compactions fold into one
+// pinned value per leg (recorded before the three state walks were merged
+// into one).
+TEST(Service, GoldenQueuedSnapshots) {
+  const GoldenRun run = golden_run();
+  struct Golden {
+    int threads;
+    std::uint64_t fingerprints;
+    std::uint64_t snapshot_hashes;
+  };
+  const Golden legs[] = {
+      {1, 0x0bf8871b62fc6036ULL, 0x2d4ed7203f590c34ULL},
+      {4, 0x0bf8871b62fc6036ULL, 0xddadaae2c5ccf39eULL},
+  };
+  for (const Golden& g : legs) {
+    TempDir dir("golden_queued_" + std::to_string(g.threads));
+    std::uint64_t fps = 0;
+    std::uint64_t snapshot_hashes = 0;
+    int compactions = 0;
+    std::uint64_t final_fp = 0;
+    replay(run.trace, run.streams, run.arch, g.threads, run.cache_bits,
+           run.opts, dir.path, &final_fp, {}, [&](ReconfigService& svc) {
+             if (svc.pending() == 0) return;
+             svc.compact_journal();
+             const std::uint64_t fp = svc.state_fingerprint();
+             fps = hash_u64(fps, fp);
+             snapshot_hashes =
+                 hash_u64(snapshot_hashes, snapshot_hash_of(dir.path, fp));
+             ++compactions;
+             const auto recovered = ReconfigService::recover(dir.path);
+             EXPECT_EQ(recovered->state_fingerprint(), fp);
+             EXPECT_EQ(recovered->pending(), svc.pending());
+           });
+    EXPECT_EQ(compactions, 22);
+    // Compaction changes no state, and the last snapshot plus the WAL after
+    // it recovers the end state.
+    EXPECT_EQ(final_fp, 0x0a2e04d8659ecca8ULL);
+    EXPECT_EQ(ReconfigService::recover(dir.path)->state_fingerprint(),
+              final_fp);
+    EXPECT_EQ(fps, g.fingerprints) << "threads=" << g.threads;
+    EXPECT_EQ(snapshot_hashes, g.snapshot_hashes) << "threads=" << g.threads;
   }
 }
 

@@ -2,6 +2,8 @@
 // round-trips, malformed-stream rejection.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "util/bitio.h"
 #include "vbs/vbs_format.h"
 
@@ -101,22 +103,33 @@ TEST(VbsFormat, EmptyImageSerializes) {
   EXPECT_TRUE(back.entries.empty());
 }
 
+/// The code of the VbsError `f` throws; kNone when it throws nothing.
+VbsErrc thrown_code(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const VbsError& e) {
+    return e.code();
+  }
+  return VbsErrc::kNone;
+}
+
 TEST(VbsFormat, RejectsTruncatedStream) {
   const BitVector bits = serialize_vbs(sample_image());
   const BitVector cut = bits.slice(0, bits.size() - 40);
-  EXPECT_THROW(deserialize_vbs(cut), BitstreamError);
+  EXPECT_EQ(thrown_code([&] { deserialize_vbs(cut); }), VbsErrc::kTruncated);
 }
 
 TEST(VbsFormat, RejectsTrailingGarbage) {
   BitVector bits = serialize_vbs(sample_image());
   bits.push_back(true);
-  EXPECT_THROW(deserialize_vbs(bits), BitstreamError);
+  EXPECT_EQ(thrown_code([&] { deserialize_vbs(bits); }),
+            VbsErrc::kTrailingBits);
 }
 
 TEST(VbsFormat, RejectsBadVersion) {
   BitVector bits = serialize_vbs(sample_image());
   bits.set(0, !bits.get(0));  // corrupt the version nibble
-  EXPECT_THROW(deserialize_vbs(bits), BitstreamError);
+  EXPECT_EQ(thrown_code([&] { deserialize_vbs(bits); }), VbsErrc::kBadVersion);
 }
 
 TEST(VbsFormat, RejectsOutOfRangeEntryPosition) {

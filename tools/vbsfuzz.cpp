@@ -594,7 +594,11 @@ int main(int argc, char** argv) {
             const BitVector back =
                 read_artifact_file(apath, ArtifactStage::kEncode, &want_fp);
             if (back != bits) return fail("mutated artifact read garbage");
-          } catch (const ArtifactError&) {
+          } catch (const VbsError& e) {
+            if (!is_artifact_error(e.code())) {
+              return fail(std::string("artifact rejected as ") +
+                          to_string(e.code()) + ": " + e.what());
+            }
           } catch (const std::exception& e) {
             return fail(std::string("untyped artifact error: ") + e.what());
           }

@@ -1,100 +1,70 @@
 // Trace-driven benchmark of the multi-tenant reconfiguration service: the
-// online-workload counterpart of flow_bench.
+// online-workload counterpart of flow_bench. bench/README.md documents
+// every leg and the JSON schema (vbs.rtc_bench.v6); BENCH_rtc.json at the
+// repo root is the committed trajectory.
 //
-// For each trace (the bundled steady/bursty/diurnal/churn suite, or a
-// vbs.rtc_trace.v1 file via --trace) the harness builds the trace's task
-// library through the offline flow once, then replays the event sequence
-// against a ReconfigService tick by tick and records throughput, load
-// latency percentiles, cache effectiveness, fragmentation and evictions.
+// Each trace's task library is built once through the offline flow, then
+// the legs replay traces against a ReconfigService tick by tick:
+//   classic   the steady/bursty/diurnal/churn suite (or a --trace file),
+//             warm @ --threads (the headline), cold (cache capacity 0:
+//             same final config, >= 10x the decode nodes on the full
+//             suite) and warm @ 1 and @ 2 (byte-identical replays);
+//   overload  flash_crowd and unique_flood with a bounded queue,
+//             deadlines, tenant priorities and a fault plan: identical at
+//             every thread count, the high-priority tenant 0 never shed,
+//             the flood shed, and tenant 0's modeled p99 at or below the
+//             flood's;
+//   recovery  the overload traces journaled, then rebuilt from the
+//             journal alone: journaling is transparent and recovery
+//             fingerprints identically;
+//   breakdown the overload traces with the trace buffer sliced: every
+//             result tiles latency == queue_wait + backoff + spike + exec
+//             and the modeled-tick spans sum to TenantStats per tenant;
+//   server    the flash_crowd trace through a journaled in-process
+//   replay    RpcServer via one admin session (a DRAIN per tick group):
+//             the served and recovered fingerprints equal the offline
+//             replay's. Wall-clock latency over the wire is perfbench's
+//             job (serve_hot / serve_cold), not this harness's.
 //
-// After the classic suite, two adversarial overload legs (flash_crowd,
-// unique_flood) replay with a bounded admission queue, per-request
-// deadlines, tenant priorities (tenant 0 = high-priority background,
-// tenant 1 = the flood) and a deterministic fault plan; the harness
-// reports per-tenant latency percentiles in modeled ticks plus
-// shed/retry/deadline counters, and FAILS unless the high-priority
-// tenant is never shed and its p99 stays at or below the flood's.
-//
-// Each classic trace is replayed four times:
-//   warm @ --threads  the headline run (decoded-stream cache enabled);
-//   cold @ --threads  cache capacity 0 — loads and relocations re-pay
-//                     devirtualization (batch-level dedup of identical
-//                     streams stays active, so the cold/warm ratio is a
-//                     conservative cache headline), and the final
-//                     configuration memory must be byte-identical to the
-//                     warm run (cached payloads are real decodes);
-//   warm @ 1, warm @ 2  determinism legs: final config_memory and the
-//                     eviction log must be byte-identical to the headline
-//                     run at any thread count.
-//
-// After the overload legs, a recovery leg replays each overload trace
-// once more with a write-ahead journal attached (src/rtc/service/journal),
-// then rebuilds a service from the journal directory alone and compares
-// state fingerprints: journaling must be transparent (the journaled run
-// fingerprints identically to an unjournaled one) and recovery must be
-// byte-identical to the run it replaces. The leg reports journal size,
-// WAL record counts, journaling overhead and the cold-recovery replay
-// rate in records per second.
-//
-// After the recovery legs, a latency-decomposition leg (new in v4)
-// replays each overload trace once more with the trace-event buffer
-// sliced around the replay: every RequestResult must satisfy the tick
-// identity latency == queue_wait + backoff + spike + exec, and the
-// modeled-tick request/phase spans in the sliced trace must sum, per
-// tenant, to exactly the breakdown TenantStats reports — so a Chrome
-// trace written with --trace-out is a faithful rendering of the numbers
-// in the JSON.
-//
-// After the breakdown legs, the networked legs (new in v5) move the same
-// workloads onto the wire: an in-process RpcServer (src/rtc/server) fronts
-// the service on a loopback socket and the closed-loop load generator
-// drives hundreds of concurrent connections through the vbs.rpc.v1
-// protocol. For steady, bursty and flash_crowd arrivals the leg reports
-// wall-clock p50/p99 request latency, throughput and shed rates at
-// --connections concurrent sessions (256 full, 32 smoke); a final
-// server-replay leg replays a trace through a *journaled* server via one
-// admin session (DRAIN barrier per tick group) and FAILS unless the
-// server's state fingerprint is identical to the offline replay of the
-// same trace — and still identical after a cold recovery from the
-// server's journal.
-//
-// Results go to stdout as a table and to a JSON file (vbs.rtc_bench.v5,
-// documented in bench/README.md). BENCH_rtc.json at the repo root is the
-// committed trajectory. The telemetry registry is always on in this
-// harness (the JSON embeds its counters); every determinism and
-// fingerprint check holds with telemetry on or off.
+// Verdicts: each leg records the checks it failed, with a reason, where it
+// runs. The tables' ok columns, the JSON's per-leg and summary flags and
+// the stderr FAIL lines all read those lists, so the run exits 1 exactly
+// when a summary flag is false. The telemetry registry is always on here
+// (the JSON embeds its counters); no check depends on it.
 //
 // Standalone network modes (all errors exit typed — exit_code_for(code),
 // --json prints {"error": {"code", "errc", "message"}} on stdout):
-//   rtc_bench --serve [--port N] [--port-file F] [--auth-seed S]
-//       front a fresh service on a loopback socket until a remote
-//       SHUTDOWN frame (admin session) stops it;
-//   rtc_bench --connect --port N [--shutdown] [--auth-seed S] [--json]
-//       admin-connect to a running server: ping + stat (or a graceful
-//       remote shutdown with --shutdown);
-//   rtc_bench --server-smoke [--connections N]
-//       the CI loopback gate: in-process server + N-connection closed
-//       loop + remote shutdown, exit 0 only on a clean end-to-end pass.
+//   --serve         front a fresh service on a loopback socket until an
+//                   admin SHUTDOWN frame stops it;
+//   --connect       admin-connect to a running server: ping + stat, or a
+//                   graceful remote shutdown with --shutdown;
+//   --server-smoke  the CI loopback gate: an in-process server over the
+//                   --serve service (a bounded queue and deadlines, so
+//                   requests shed and expire), an N-connection closed
+//                   loop and a remote shutdown; exit 0 only when every
+//                   request is accounted for and the server stops cleanly.
 //
 // Usage:
 //   rtc_bench [--smoke] [--trace FILE] [--policy P] [--threads T]
 //             [--cache-bits N] [--events N] [--ticks K] [--seed S]
 //             [--queue-limit N] [--deadline T] [--faults SPEC]
-//             [--connections N] [--trace-out trace.json] [--metrics]
-//             [--out PATH] [--json]
-//             [--serve | --connect | --server-smoke] [--port N]
-//             [--port-file F] [--auth-seed S] [--shutdown]
+//             [--trace-out trace.json] [--metrics] [--out PATH] [--json]
+//   rtc_bench --serve [--port N] [--port-file F] [--auth-seed S]
+//   rtc_bench --connect --port N [--shutdown] [--auth-seed S] [--json]
+//   rtc_bench --server-smoke [--connections N] [--events N]
+//   (--serve and --server-smoke also take --threads, --queue-limit and
+//   --deadline for the served service.)
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -178,7 +148,43 @@ struct Replay {
   std::map<int, TenantStats> tenants;
   /// Every result satisfied latency == queue_wait + backoff + spike + exec.
   bool tick_identity_ok = true;
+
+  double hit_rate() const {
+    const long long lookups = cache_hits + cache_misses;
+    return lookups > 0 ? static_cast<double>(cache_hits) / lookups : 0.0;
+  }
+  double frag_avg() const {
+    return frag_samples > 0 ? frag_sum / frag_samples : 0.0;
+  }
 };
+
+/// Walks a trace one tick group at a time: every event of the group goes
+/// to `submit(event, stream, ref)` — the stream of a load, or the request
+/// an unload/relocate refers to — which returns its request id, then
+/// `drain()` runs. The offline replay and its wire twin share this walk.
+template <class Submit, class Drain>
+void walk_trace(const Trace& trace, StreamLibrary& lib, Submit submit,
+                Drain drain) {
+  std::vector<RequestId> request_of_event(trace.events.size(), kNoRequest);
+  std::size_t next = 0;
+  while (next < trace.events.size()) {
+    const int tick = trace.events[next].tick;
+    for (; next < trace.events.size() && trace.events[next].tick == tick;
+         ++next) {
+      const TraceEvent& e = trace.events[next];
+      const BitVector* stream = nullptr;
+      RequestId ref = kNoRequest;
+      if (e.kind == TraceEvent::Kind::kLoad) {
+        stream = &lib.stream_for(
+            trace.kinds[static_cast<std::size_t>(e.task_kind)]);
+      } else {
+        ref = request_of_event[static_cast<std::size_t>(e.ref)];
+      }
+      request_of_event[next] = submit(e, stream, ref);
+    }
+    drain();
+  }
+}
 
 Replay replay_trace(const Trace& trace, StreamLibrary& lib,
                     const ArchSpec& arch, const ServiceOptions& opts,
@@ -193,33 +199,18 @@ Replay replay_trace(const Trace& trace, StreamLibrary& lib,
     svc.set_tenant_priority(tenant, prio);
   }
   Replay out;
-  std::vector<RequestId> request_of_event(trace.events.size(), kNoRequest);
-
-  std::size_t next = 0;
-  while (next < trace.events.size()) {
-    const int tick = trace.events[next].tick;
-    // Admit everything that arrives this tick, then let the service drain
-    // the queue — the batching the bursty pattern exists to exercise.
-    while (next < trace.events.size() && trace.events[next].tick == tick) {
-      const TraceEvent& e = trace.events[next];
-      switch (e.kind) {
-        case TraceEvent::Kind::kLoad:
-          request_of_event[next] = svc.submit_load(
-              lib.stream_for(
-                  trace.kinds[static_cast<std::size_t>(e.task_kind)]),
-              e.tenant);
-          break;
-        case TraceEvent::Kind::kUnload:
-          request_of_event[next] = svc.submit_unload(
-              request_of_event[static_cast<std::size_t>(e.ref)], e.tenant);
-          break;
-        case TraceEvent::Kind::kRelocate:
-          request_of_event[next] = svc.submit_relocate(
-              request_of_event[static_cast<std::size_t>(e.ref)], e.tenant);
-          break;
-      }
-      ++next;
+  // Everything that arrives in a tick is admitted, then the service drains
+  // the queue — the batching the bursty pattern exists to exercise.
+  const auto submit = [&](const TraceEvent& e, const BitVector* stream,
+                          RequestId ref) {
+    switch (e.kind) {
+      case TraceEvent::Kind::kLoad: return svc.submit_load(*stream, e.tenant);
+      case TraceEvent::Kind::kUnload: return svc.submit_unload(ref, e.tenant);
+      case TraceEvent::Kind::kRelocate: break;
     }
+    return svc.submit_relocate(ref, e.tenant);
+  };
+  walk_trace(trace, lib, submit, [&] {
     const std::uint64_t t0 = telem::now_ns();
     const std::vector<RequestResult> results = svc.drain();
     out.drain_seconds += telem::seconds_since(t0);
@@ -245,7 +236,7 @@ Replay replay_trace(const Trace& trace, StreamLibrary& lib,
     }
     out.frag_sum += svc.fragmentation();
     ++out.frag_samples;
-  }
+  });
 
   out.stats = svc.stats();
   out.config = svc.controller().config_memory();
@@ -264,24 +255,43 @@ Replay replay_trace(const Trace& trace, StreamLibrary& lib,
 
 bool same_evictions(const std::vector<EvictionEvent>& a,
                     const std::vector<EvictionEvent>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].seq != b[i].seq || a[i].task != b[i].task ||
-        !(a[i].rect == b[i].rect) || a[i].cause != b[i].cause) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const EvictionEvent& x, const EvictionEvent& y) {
+                      return x.seq == y.seq && x.task == y.task &&
+                             x.rect == y.rect && x.cause == y.cause;
+                    });
 }
+
+/// One check a leg failed: the JSON flag it clears and the reason the
+/// stderr FAIL line prints.
+struct Failure {
+  const char* flag;
+  std::string reason;
+};
+
+/// A leg's verdict, decided once where the leg runs: every table ok
+/// column, JSON flag and FAIL line reads this list.
+struct Verdict {
+  std::vector<Failure> failures;
+
+  void check(bool held, const char* flag, std::string reason) {
+    if (!held) failures.push_back({flag, std::move(reason)});
+  }
+  bool ok() const { return failures.empty(); }
+  /// No failed check cleared `flag`.
+  bool ok(std::string_view flag) const {
+    return std::none_of(failures.begin(), failures.end(),
+                        [&](const Failure& f) { return f.flag == flag; });
+  }
+};
 
 struct TraceRecord {
   Trace trace;
   Replay warm;       ///< headline run at --threads
   long long cold_nodes = 0;
-  bool warm_equals_cold = false;
-  bool deterministic = false;
   double p50_ms = 0.0, p99_ms = 0.0, max_ms = 0.0;
   double throughput = 0.0;
+  Verdict verdict;   ///< "identical", "warm_equals_cold_config"
 };
 
 /// One adversarial overload leg: bounded queue + deadlines + priorities +
@@ -291,14 +301,14 @@ struct TraceRecord {
 struct OverloadRecord {
   Trace trace;
   Replay run;
-  bool deterministic = false;
   /// p50/p99 of committed-load latency in modeled ticks, per tenant.
   std::map<int, std::pair<double, double>> tick_percentiles;
+  Verdict verdict;   ///< "determinism_ok", "qos_ok"
 };
 
 /// One crash-recovery leg: an overload trace replayed with a write-ahead
 /// journal attached, then a service rebuilt from the journal directory
-/// alone. Both fingerprint comparisons are part of the bench's FAIL gate.
+/// alone.
 struct RecoveryRecord {
   Trace trace;
   ReconfigService::RecoveryInfo info;
@@ -306,8 +316,7 @@ struct RecoveryRecord {
   double journaled_seconds = 0.0;  ///< drain time with the journal attached
   double recover_seconds = 0.0;    ///< rebuild-from-journal wall time
   double replay_rps = 0.0;         ///< WAL records replayed per second
-  bool journal_transparent = false;  ///< journaled fp == unjournaled fp
-  bool fingerprint_ok = false;       ///< recovered fp == journaled fp
+  Verdict verdict;  ///< "journal_transparent", "fingerprint_ok"
 };
 
 /// The latency-decomposition leg (new in v4): one more overload replay
@@ -316,24 +325,7 @@ struct RecoveryRecord {
 struct BreakdownRecord {
   Trace trace;
   Replay run;
-  bool identity_ok = false;   ///< per-result tick identity held throughout
-  bool spans_ok = false;      ///< span sums == per-tenant breakdown
-  std::string pairing_error;  ///< first event-pairing violation, or empty
-};
-
-/// One networked leg (new in v5): the closed-loop load generator driving
-/// --connections concurrent sessions against an in-process RpcServer.
-struct ServerRecord {
-  Trace trace;
-  int connections = 0;
-  rpc::LoadGenReport report;
-  rpc::ServerCounters counters;
-  double p50_ms = 0.0, p99_ms = 0.0;  ///< wall latency, submit -> RESULT
-  double shed_rate = 0.0;             ///< kShed results / results
-  double throughput = 0.0;            ///< requests per wall second
-  /// Every request sent was accounted for: a RESULT, a door shed, or a
-  /// typed wire error — nothing vanished, nothing timed out.
-  bool accounted = false;
+  Verdict verdict;  ///< "identity_ok", "spans_match_stats", "event_pairing_ok"
 };
 
 /// The server-replay determinism leg: a journaled wire replay through one
@@ -342,13 +334,56 @@ struct ServerRecord {
 struct ServerReplayRecord {
   Trace trace;
   std::uint64_t offline_fp = 0, wire_fp = 0, recovered_fp = 0;
-  bool wire_ok = false;     ///< served fingerprint == offline fingerprint
-  bool recover_ok = false;  ///< recovered fingerprint == offline fingerprint
   double wall_seconds = 0.0;
   long long wire_results = 0;
+  Verdict verdict;  ///< "wire_matches_offline", "recover_matches_offline"
 };
 
-/// Replays a trace through an admin RpcClient: the same submit order as
+/// The classic suite's totals, computed once. The decode-node ratio is the
+/// cache headline; its floor is the suite-level check.
+struct Totals {
+  long long events = 0, warm_nodes = 0, cold_nodes = 0, evictions = 0;
+  long long hits = 0, lookups = 0;
+  double seconds = 0.0;
+  double ratio = 0.0, ratio_floor = 0.0;
+  Verdict verdict;  ///< "decode_ratio_ok"
+};
+
+/// Every leg of one run.
+struct Suite {
+  std::vector<TraceRecord> traces;
+  std::vector<OverloadRecord> overload;
+  std::vector<RecoveryRecord> recovery;
+  std::vector<BreakdownRecord> breakdown;
+  std::vector<ServerReplayRecord> server_replay;
+  Totals totals;
+};
+
+template <class Record>
+bool all_ok(const std::vector<Record>& recs, const char* flag = nullptr) {
+  return std::all_of(recs.begin(), recs.end(), [&](const Record& r) {
+    return flag == nullptr ? r.verdict.ok() : r.verdict.ok(flag);
+  });
+}
+
+/// The summary flags, each the conjunction of its legs' verdicts. Together
+/// they cover every check, so the run exits 1 exactly when one is false.
+std::vector<std::pair<const char*, bool>> summary_flags(const Suite& s) {
+  return {{"determinism_ok", all_ok(s.traces, "identical")},
+          {"warm_equals_cold_ok", all_ok(s.traces, "warm_equals_cold_config")},
+          {"decode_ratio_ok", s.totals.verdict.ok()},
+          {"overload_ok", all_ok(s.overload)},
+          {"recovery_ok", all_ok(s.recovery)},
+          {"breakdown_ok", all_ok(s.breakdown)},
+          {"server_replay_ok", all_ok(s.server_replay)}};
+}
+
+/// `"flag": true|false` for a per-leg JSON flag read from its verdict.
+std::string flag_json(const Verdict& v, const char* flag) {
+  return std::string("\"") + flag + "\": " + (v.ok(flag) ? "true" : "false");
+}
+
+/// Replays a trace through an admin RpcClient: the same walk as
 /// replay_trace, with a DRAIN frame at each tick-group boundary (the
 /// server runs auto_drain=false, so drains happen only at the barriers —
 /// the wire twin of the offline replay loop). Returns the result count.
@@ -364,32 +399,18 @@ long long admin_wire_replay(int port, std::uint64_t auth_seed,
     admin.set_priority(tenant, prio);
   }
   long long results = 0;
-  std::vector<RequestId> request_of_event(trace.events.size(), kNoRequest);
-  std::size_t next = 0;
-  while (next < trace.events.size()) {
-    const int tick = trace.events[next].tick;
-    while (next < trace.events.size() && trace.events[next].tick == tick) {
-      const TraceEvent& e = trace.events[next];
-      switch (e.kind) {
-        case TraceEvent::Kind::kLoad:
-          request_of_event[next] = admin.send_load(
-              lib.stream_for(
-                  trace.kinds[static_cast<std::size_t>(e.task_kind)]),
-              e.tenant);
-          break;
-        case TraceEvent::Kind::kUnload:
-          request_of_event[next] = admin.send_unload(
-              request_of_event[static_cast<std::size_t>(e.ref)], e.tenant);
-          break;
-        case TraceEvent::Kind::kRelocate:
-          request_of_event[next] = admin.send_relocate(
-              request_of_event[static_cast<std::size_t>(e.ref)], e.tenant);
-          break;
-      }
-      ++next;
+  const auto submit = [&](const TraceEvent& e, const BitVector* stream,
+                          RequestId ref) {
+    switch (e.kind) {
+      case TraceEvent::Kind::kLoad: return admin.send_load(*stream, e.tenant);
+      case TraceEvent::Kind::kUnload: return admin.send_unload(ref, e.tenant);
+      case TraceEvent::Kind::kRelocate: break;
     }
+    return admin.send_relocate(ref, e.tenant);
+  };
+  walk_trace(trace, lib, submit, [&] {
     results += static_cast<long long>(admin.drain().size());
-  }
+  });
   return results;
 }
 
@@ -409,17 +430,23 @@ int typed_exit(const VbsError& e, bool json) {
   return exit_code_for(e.code());
 }
 
+/// The service behind --serve and --server-smoke: the overload legs'
+/// bounded queue and deadlines, without their fault plan.
+ServiceOptions served_options(const CliArgs& args) {
+  ServiceOptions so;
+  so.threads = static_cast<int>(args.int_or("--threads", 2));
+  so.queue_limit = static_cast<std::size_t>(args.int_or("--queue-limit", 8));
+  so.deadline_ticks = args.int_or("--deadline", 12);
+  return so;
+}
+
 /// --serve: front a fresh service on a loopback socket until an admin
 /// session sends SHUTDOWN.
 int run_serve(const CliArgs& args, bool json) {
   try {
     ArchSpec arch;
     arch.chan_width = 8;
-    ServiceOptions so;
-    so.threads = static_cast<int>(args.int_or("--threads", 2));
-    so.queue_limit = static_cast<std::size_t>(args.int_or("--queue-limit", 8));
-    so.deadline_ticks = args.int_or("--deadline", 12);
-    ReconfigService svc(arch, 16, 12, so);
+    ReconfigService svc(arch, 16, 12, served_options(args));
     rpc::RpcServerOptions sopts;
     sopts.port = static_cast<int>(args.int_or("--port", 0));
     sopts.auth_seed =
@@ -485,6 +512,7 @@ int run_connect(const CliArgs& args, bool json) {
     const rpc::StatReplyMsg s = admin.stat();
     const bool shutdown = args.has_flag("--shutdown");
     if (shutdown) admin.shutdown();
+    const auto ll = [](std::int64_t v) { return static_cast<long long>(v); };
     if (json) {
       std::printf(
           "{\n  \"connect\": {\"port\": %d, \"fingerprint\": %llu, "
@@ -493,16 +521,17 @@ int run_connect(const CliArgs& args, bool json) {
           "\"deadline_misses\": %lld, \"failed\": %lld, \"rejected\": %lld, "
           "\"shutdown\": %s}\n}\n",
           copts.port, static_cast<unsigned long long>(s.fingerprint),
-          s.now_ticks, static_cast<unsigned long long>(s.pending), s.loads,
-          s.unloads, s.relocates, s.shed, s.deadline_misses, s.failed,
-          s.rejected, shutdown ? "true" : "false");
+          ll(s.now_ticks), static_cast<unsigned long long>(s.pending),
+          ll(s.loads), ll(s.unloads), ll(s.relocates), ll(s.shed),
+          ll(s.deadline_misses), ll(s.failed), ll(s.rejected),
+          shutdown ? "true" : "false");
     } else {
       std::printf(
           "rtc_bench: server at :%d alive: fingerprint %016llx, tick %lld, "
           "%llu pending, %lld loads%s\n",
           copts.port, static_cast<unsigned long long>(s.fingerprint),
-          s.now_ticks, static_cast<unsigned long long>(s.pending), s.loads,
-          shutdown ? "; shutdown sent" : "");
+          ll(s.now_ticks), static_cast<unsigned long long>(s.pending),
+          ll(s.loads), shutdown ? "; shutdown sent" : "");
     }
     return 0;
   } catch (const VbsError& e) {
@@ -510,7 +539,8 @@ int run_connect(const CliArgs& args, bool json) {
   }
 }
 
-/// --server-smoke: the CI loopback gate. In-process server, a
+/// --server-smoke: the CI loopback gate. In-process server over the --serve
+/// service (its bounded queue sheds and its deadlines expire requests), a
 /// --connections closed loop over a small bursty trace, then a remote
 /// shutdown; exits 0 only on a fully accounted run and a clean stop.
 int run_server_smoke(const CliArgs& args, bool json) {
@@ -530,9 +560,7 @@ int run_server_smoke(const CliArgs& args, bool json) {
     std::vector<BitVector> streams;
     for (const TraceTaskKind& k : t.kinds) streams.push_back(lib.stream_for(k));
 
-    ServiceOptions so;
-    so.threads = static_cast<int>(args.int_or("--threads", 2));
-    ReconfigService svc(arch, t.fabric_w, t.fabric_h, so);
+    ReconfigService svc(arch, t.fabric_w, t.fabric_h, served_options(args));
     rpc::RpcServerOptions sopts;
     sopts.auth_seed =
         static_cast<std::uint64_t>(args.int_or("--auth-seed", 1));
@@ -570,8 +598,10 @@ int run_server_smoke(const CliArgs& args, bool json) {
                     report.results > 0 && report.done > 0;
     std::printf(
         "rtc_bench: server smoke: %d connections, %lld requests, %lld "
-        "results (%lld done), %llu accepted, clean shutdown %s: %s\n",
+        "results (%lld done, %lld shed, %lld deadline), %lld door sheds, "
+        "%lld wire errors, %llu accepted, clean shutdown %s: %s\n",
         lopts.connections, report.requests_sent, report.results, report.done,
+        report.shed, report.deadline, report.door_sheds, report.wire_errors,
         static_cast<unsigned long long>(c.accepted), stopped ? "yes" : "NO",
         ok ? "ok" : "FAIL");
     return ok ? 0 : 1;
@@ -588,20 +618,15 @@ bool same_outcomes(const Replay& a, const Replay& b) {
          a.stats.faults_injected == b.stats.faults_injected;
 }
 
-void write_json(const std::string& path, const std::vector<TraceRecord>& recs,
-                const std::vector<OverloadRecord>& over,
-                const std::vector<RecoveryRecord>& recov,
-                const std::vector<BreakdownRecord>& breakdown,
-                const std::vector<ServerRecord>& servers,
-                const std::vector<ServerReplayRecord>& server_replay,
-                bool smoke, const ServiceOptions& sopts,
-                const ServiceOptions& oopts, std::uint64_t seed) {
+void write_json(const std::string& path, const Suite& s, bool smoke,
+                const ServiceOptions& sopts, const ServiceOptions& oopts,
+                std::uint64_t seed) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"schema\": \"vbs.rtc_bench.v5\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"vbs.rtc_bench.v6\",\n");
   std::fprintf(f,
                "  \"options\": {\"smoke\": %s, \"policy\": \"%s\", "
                "\"threads\": %d, \"cache_bits\": %zu, \"evict_to_fit\": %s, "
@@ -621,22 +646,9 @@ void write_json(const std::string& path, const std::vector<TraceRecord>& recs,
   std::fprintf(f, "  \"metrics\": %s,\n",
                telem::snapshot().to_json(2).c_str());
   std::fprintf(f, "  \"traces\": [\n");
-  long long tot_events = 0, tot_warm = 0, tot_cold = 0, tot_evict = 0;
-  long long tot_hits = 0, tot_lookups = 0;
-  double tot_seconds = 0.0;
-  bool all_det = true, all_wc = true;
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const TraceRecord& r = recs[i];
+  for (std::size_t i = 0; i < s.traces.size(); ++i) {
+    const TraceRecord& r = s.traces[i];
     const Replay& w = r.warm;
-    tot_events += static_cast<long long>(r.trace.events.size());
-    tot_warm += w.stats.decode.nodes_expanded;
-    tot_cold += r.cold_nodes;
-    tot_evict += w.stats.task_evictions;
-    tot_hits += w.cache_hits;
-    tot_lookups += w.cache_hits + w.cache_misses;
-    tot_seconds += w.drain_seconds;
-    all_det &= r.deterministic;
-    all_wc &= r.warm_equals_cold;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"fabric\": {\"w\": %d, \"h\": %d}, "
                  "\"events\": %zu, \"kinds\": %zu,\n",
@@ -659,11 +671,7 @@ void write_json(const std::string& path, const std::vector<TraceRecord>& recs,
                  "     \"cache\": {\"hits\": %lld, \"misses\": %lld, "
                  "\"hit_rate\": %.3f, \"insertions\": %lld, \"evictions\": "
                  "%lld, \"size_bits\": %zu},\n",
-                 w.cache_hits, w.cache_misses,
-                 w.cache_hits + w.cache_misses > 0
-                     ? static_cast<double>(w.cache_hits) /
-                           static_cast<double>(w.cache_hits + w.cache_misses)
-                     : 0.0,
+                 w.cache_hits, w.cache_misses, w.hit_rate(),
                  w.cache_insertions, w.cache_evictions, w.cache_size_bits);
     std::fprintf(f,
                  "     \"warm_loads\": %lld, \"cold_loads\": %lld, "
@@ -681,32 +689,30 @@ void write_json(const std::string& path, const std::vector<TraceRecord>& recs,
     std::fprintf(f,
                  "     \"task_evictions\": %lld, \"fragmentation_avg\": %.3f, "
                  "\"fragmentation_final\": %.3f, \"occupancy_final\": %.3f,\n",
-                 w.stats.task_evictions,
-                 w.frag_samples > 0 ? w.frag_sum / w.frag_samples : 0.0,
-                 w.frag_final, w.occupancy_final);
+                 w.stats.task_evictions, w.frag_avg(), w.frag_final,
+                 w.occupancy_final);
     std::fprintf(f,
-                 "     \"warm_equals_cold_config\": %s, \"determinism\": "
-                 "{\"thread_counts\": [1, 2, %d], \"identical\": %s}}%s\n",
-                 r.warm_equals_cold ? "true" : "false", sopts.threads,
-                 r.deterministic ? "true" : "false",
-                 i + 1 < recs.size() ? "," : "");
+                 "     %s, \"determinism\": {\"thread_counts\": [1, 2, %d], "
+                 "%s}}%s\n",
+                 flag_json(r.verdict, "warm_equals_cold_config").c_str(),
+                 sopts.threads, flag_json(r.verdict, "identical").c_str(),
+                 i + 1 < s.traces.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"overload\": [\n");
-  bool all_over = true;
-  for (std::size_t i = 0; i < over.size(); ++i) {
-    const OverloadRecord& r = over[i];
+  for (std::size_t i = 0; i < s.overload.size(); ++i) {
+    const OverloadRecord& r = s.overload[i];
     const Replay& w = r.run;
-    all_over &= r.deterministic;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"events\": %zu, \"kinds\": %zu, "
                  "\"done\": %lld, \"rejected\": %lld, \"failed\": %lld, "
                  "\"shed\": %lld, \"deadline_misses\": %lld, \"retries\": "
-                 "%lld, \"faults_injected\": %lld, \"determinism_ok\": %s,\n",
+                 "%lld, \"faults_injected\": %lld, %s, %s,\n",
                  r.trace.name.c_str(), r.trace.events.size(),
                  r.trace.kinds.size(), w.done, w.rejected, w.failed, w.shed,
                  w.deadline_misses, w.stats.retries, w.stats.faults_injected,
-                 r.deterministic ? "true" : "false");
+                 flag_json(r.verdict, "determinism_ok").c_str(),
+                 flag_json(r.verdict, "qos_ok").c_str());
     std::fprintf(f, "     \"tenants\": [");
     bool first = true;
     for (const auto& [tenant, ts] : w.tenants) {
@@ -723,14 +729,12 @@ void write_json(const std::string& path, const std::vector<TraceRecord>& recs,
           pct != r.tick_percentiles.end() ? pct->second.second : 0.0);
       first = false;
     }
-    std::fprintf(f, "]}%s\n", i + 1 < over.size() ? "," : "");
+    std::fprintf(f, "]}%s\n", i + 1 < s.overload.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"recovery\": [\n");
-  bool all_recov = true;
-  for (std::size_t i = 0; i < recov.size(); ++i) {
-    const RecoveryRecord& r = recov[i];
-    all_recov &= r.fingerprint_ok && r.journal_transparent;
+  for (std::size_t i = 0; i < s.recovery.size(); ++i) {
+    const RecoveryRecord& r = s.recovery[i];
     std::fprintf(
         f,
         "    {\"name\": \"%s\", \"events\": %zu, \"journal_bytes\": %llu, "
@@ -749,25 +753,20 @@ void write_json(const std::string& path, const std::vector<TraceRecord>& recs,
         r.baseline_seconds > 0 ? r.journaled_seconds / r.baseline_seconds
                                : 0.0,
         r.recover_seconds, r.replay_rps);
-    std::fprintf(f,
-                 "     \"journal_transparent\": %s, \"fingerprint_ok\": "
-                 "%s}%s\n",
-                 r.journal_transparent ? "true" : "false",
-                 r.fingerprint_ok ? "true" : "false",
-                 i + 1 < recov.size() ? "," : "");
+    std::fprintf(f, "     %s, %s}%s\n",
+                 flag_json(r.verdict, "journal_transparent").c_str(),
+                 flag_json(r.verdict, "fingerprint_ok").c_str(),
+                 i + 1 < s.recovery.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"latency_breakdown\": [\n");
-  bool all_bd = true;
-  for (std::size_t i = 0; i < breakdown.size(); ++i) {
-    const BreakdownRecord& r = breakdown[i];
-    all_bd &= r.identity_ok && r.spans_ok && r.pairing_error.empty();
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"identity_ok\": %s, "
-                 "\"spans_match_stats\": %s, \"event_pairing_ok\": %s,\n",
-                 r.trace.name.c_str(), r.identity_ok ? "true" : "false",
-                 r.spans_ok ? "true" : "false",
-                 r.pairing_error.empty() ? "true" : "false");
+  for (std::size_t i = 0; i < s.breakdown.size(); ++i) {
+    const BreakdownRecord& r = s.breakdown[i];
+    std::fprintf(f, "    {\"name\": \"%s\", %s, %s, %s,\n",
+                 r.trace.name.c_str(),
+                 flag_json(r.verdict, "identity_ok").c_str(),
+                 flag_json(r.verdict, "spans_match_stats").c_str(),
+                 flag_json(r.verdict, "event_pairing_ok").c_str());
     std::fprintf(f, "     \"tenants\": [");
     bool first = true;
     for (const auto& [tenant, ts] : r.run.tenants) {
@@ -780,88 +779,46 @@ void write_json(const std::string& path, const std::vector<TraceRecord>& recs,
                    ts.exec_ticks);
       first = false;
     }
-    std::fprintf(f, "]}%s\n", i + 1 < breakdown.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"server\": [\n");
-  bool all_srv = true;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    const ServerRecord& r = servers[i];
-    const rpc::LoadGenReport& g = r.report;
-    all_srv &= r.accounted;
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"connections\": %d, \"events\": %zu, "
-        "\"requests\": %lld, \"acks\": %lld, \"results\": %lld,\n",
-        r.trace.name.c_str(), r.connections, r.trace.events.size(),
-        g.requests_sent, g.acks, g.results);
-    std::fprintf(
-        f,
-        "     \"done\": %lld, \"shed\": %lld, \"rejected\": %lld, "
-        "\"failed\": %lld, \"deadline\": %lld, \"door_sheds\": %lld, "
-        "\"wire_errors\": %lld, \"shed_rate\": %.3f,\n",
-        g.done, g.shed, g.rejected, g.failed, g.deadline, g.door_sheds,
-        g.wire_errors, r.shed_rate);
-    std::fprintf(
-        f,
-        "     \"wall_seconds\": %.4f, \"throughput_rps\": %.0f, "
-        "\"latency_ms\": {\"p50\": %.3f, \"p99\": %.3f},\n",
-        g.wall_seconds, r.throughput, r.p50_ms, r.p99_ms);
-    std::fprintf(
-        f,
-        "     \"server_counters\": {\"accepted\": %llu, \"frames_in\": %llu, "
-        "\"frames_out\": %llu, \"door_sheds\": %llu, \"reads_paused\": "
-        "%llu}, \"accounted\": %s}%s\n",
-        static_cast<unsigned long long>(r.counters.accepted),
-        static_cast<unsigned long long>(r.counters.frames_in),
-        static_cast<unsigned long long>(r.counters.frames_out),
-        static_cast<unsigned long long>(r.counters.door_sheds),
-        static_cast<unsigned long long>(r.counters.reads_paused),
-        r.accounted ? "true" : "false", i + 1 < servers.size() ? "," : "");
+    std::fprintf(f, "]}%s\n", i + 1 < s.breakdown.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"server_replay\": [\n");
-  bool all_sr = true;
-  for (std::size_t i = 0; i < server_replay.size(); ++i) {
-    const ServerReplayRecord& r = server_replay[i];
-    all_sr &= r.wire_ok && r.recover_ok;
+  for (std::size_t i = 0; i < s.server_replay.size(); ++i) {
+    const ServerReplayRecord& r = s.server_replay[i];
     std::fprintf(
         f,
         "    {\"name\": \"%s\", \"events\": %zu, \"wire_results\": %lld, "
         "\"wall_seconds\": %.4f, \"offline_fingerprint\": %llu, "
         "\"wire_fingerprint\": %llu, \"recovered_fingerprint\": %llu, "
-        "\"wire_matches_offline\": %s, \"recover_matches_offline\": %s}%s\n",
+        "%s, %s}%s\n",
         r.trace.name.c_str(), r.trace.events.size(), r.wire_results,
         r.wall_seconds, static_cast<unsigned long long>(r.offline_fp),
         static_cast<unsigned long long>(r.wire_fp),
         static_cast<unsigned long long>(r.recovered_fp),
-        r.wire_ok ? "true" : "false", r.recover_ok ? "true" : "false",
-        i + 1 < server_replay.size() ? "," : "");
+        flag_json(r.verdict, "wire_matches_offline").c_str(),
+        flag_json(r.verdict, "recover_matches_offline").c_str(),
+        i + 1 < s.server_replay.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  const Totals& t = s.totals;
   std::fprintf(
       f,
       "  \"summary\": {\"traces\": %zu, \"events\": %lld, "
       "\"replay_seconds\": %.4f, \"throughput_rps\": %.0f, "
       "\"decode_nodes_warm\": %lld, \"decode_nodes_cold\": %lld, "
-      "\"decode_node_ratio\": %.2f, \"cache_hit_rate\": %.3f, "
-      "\"task_evictions\": %lld, \"determinism_ok\": %s, "
-      "\"warm_equals_cold_ok\": %s, \"overload_ok\": %s, "
-      "\"recovery_ok\": %s, \"breakdown_ok\": %s, \"server_ok\": %s, "
-      "\"server_replay_ok\": %s}\n",
-      recs.size(), tot_events, tot_seconds,
-      tot_seconds > 0 ? static_cast<double>(tot_events) / tot_seconds : 0.0,
-      tot_warm, tot_cold,
-      tot_warm > 0 ? static_cast<double>(tot_cold) / static_cast<double>(tot_warm)
-                   : 0.0,
-      tot_lookups > 0
-          ? static_cast<double>(tot_hits) / static_cast<double>(tot_lookups)
+      "\"decode_node_ratio\": %.2f, \"decode_ratio_floor\": %.1f, "
+      "\"cache_hit_rate\": %.3f, \"task_evictions\": %lld",
+      s.traces.size(), t.events, t.seconds,
+      t.seconds > 0 ? static_cast<double>(t.events) / t.seconds : 0.0,
+      t.warm_nodes, t.cold_nodes, t.ratio, t.ratio_floor,
+      t.lookups > 0
+          ? static_cast<double>(t.hits) / static_cast<double>(t.lookups)
           : 0.0,
-      tot_evict, all_det ? "true" : "false", all_wc ? "true" : "false",
-      all_over ? "true" : "false", all_recov ? "true" : "false",
-      all_bd ? "true" : "false", all_srv ? "true" : "false",
-      all_sr ? "true" : "false");
-  std::fprintf(f, "}\n");
+      t.evictions);
+  for (const auto& [flag, ok] : summary_flags(s)) {
+    std::fprintf(f, ", \"%s\": %s", flag, ok ? "true" : "false");
+  }
+  std::fprintf(f, "}\n}\n");
   std::fclose(f);
 }
 
@@ -909,50 +866,44 @@ int main(int argc, char** argv) try {
   ArchSpec arch;
   arch.chan_width = 8;  // small tasks; W=8 keeps the library flow fast
 
-  // The bundled suite: one trace per arrival pattern, or a caller trace.
-  std::vector<Trace> traces;
+  // The bundled suite: one trace per arrival pattern, then the adversarial
+  // overload traces — or just a caller trace.
+  const auto generate = [&](std::vector<ArrivalPattern> patterns, int events,
+                            int ticks) {
+    TraceGenOptions gopts;
+    gopts.events = static_cast<int>(args.int_or("--events", events));
+    gopts.ticks = static_cast<int>(args.int_or("--ticks", ticks));
+    gopts.kinds = smoke ? 4 : 6;
+    gopts.seed = seed;
+    std::vector<Trace> out;
+    for (const ArrivalPattern p : patterns) {
+      gopts.pattern = p;
+      out.push_back(generate_trace(gopts));
+    }
+    return out;
+  };
+  std::vector<Trace> traces, overload_traces;
   if (const auto path = args.value("--trace")) {
     traces.push_back(read_trace_file(*path));
   } else {
-    TraceGenOptions gopts;
-    gopts.events = static_cast<int>(args.int_or("--events", smoke ? 48 : 160));
-    gopts.ticks = static_cast<int>(args.int_or("--ticks", smoke ? 24 : 64));
-    gopts.kinds = smoke ? 4 : 6;
-    gopts.seed = seed;
-    for (const ArrivalPattern p :
-         {ArrivalPattern::kSteady, ArrivalPattern::kBursty,
-          ArrivalPattern::kDiurnal, ArrivalPattern::kChurn}) {
-      gopts.pattern = p;
-      traces.push_back(generate_trace(gopts));
-    }
+    traces = generate({ArrivalPattern::kSteady, ArrivalPattern::kBursty,
+                       ArrivalPattern::kDiurnal, ArrivalPattern::kChurn},
+                      smoke ? 48 : 160, smoke ? 24 : 64);
+    overload_traces =
+        generate({ArrivalPattern::kFlashCrowd, ArrivalPattern::kUniqueFlood},
+                 smoke ? 64 : 220, smoke ? 16 : 48);
   }
 
   std::printf("building task libraries (offline flow, shared across traces)"
               "...\n");
   StreamLibrary lib(arch);
-  for (const Trace& t : traces) {
-    for (const TraceTaskKind& k : t.kinds) lib.stream_for(k);
-  }
-
-  // Adversarial overload traces (skipped when replaying a caller trace).
-  std::vector<Trace> overload_traces;
-  if (!args.value("--trace")) {
-    TraceGenOptions gopts;
-    gopts.events = static_cast<int>(args.int_or("--events", smoke ? 64 : 220));
-    gopts.ticks = static_cast<int>(args.int_or("--ticks", smoke ? 16 : 48));
-    gopts.kinds = smoke ? 4 : 6;
-    gopts.seed = seed;
-    for (const ArrivalPattern p :
-         {ArrivalPattern::kFlashCrowd, ArrivalPattern::kUniqueFlood}) {
-      gopts.pattern = p;
-      overload_traces.push_back(generate_trace(gopts));
-    }
-    for (const Trace& t : overload_traces) {
+  for (const std::vector<Trace>* set : {&traces, &overload_traces}) {
+    for (const Trace& t : *set) {
       for (const TraceTaskKind& k : t.kinds) lib.stream_for(k);
     }
   }
 
-  std::vector<TraceRecord> recs;
+  Suite suite;
   for (const Trace& t : traces) {
     TraceRecord rec;
     rec.trace = t;
@@ -960,22 +911,28 @@ int main(int argc, char** argv) try {
                 t.name.c_str(), t.events.size(), t.fabric_w, t.fabric_h);
     rec.warm = replay_trace(t, lib, arch, sopts);
 
+    // A cached commit that diverges from a fresh decode, or a replay that
+    // differs across thread counts, would invalidate every number here.
     ServiceOptions cold = sopts;
     cold.cache_capacity_bits = 0;
     const Replay cold_run = replay_trace(t, lib, arch, cold);
     rec.cold_nodes = cold_run.stats.decode.nodes_expanded;
-    rec.warm_equals_cold = rec.warm.config == cold_run.config &&
-                           same_evictions(rec.warm.evictions,
-                                          cold_run.evictions);
-
-    rec.deterministic = true;
+    rec.verdict.check(rec.warm.config == cold_run.config &&
+                          same_evictions(rec.warm.evictions,
+                                         cold_run.evictions),
+                      "warm_equals_cold_config",
+                      t.name + " warm (cached) config diverged from cold "
+                               "decode");
+    bool identical = true;
     for (const int threads : {1, 2}) {
       ServiceOptions d = sopts;
       d.threads = threads;
       const Replay run = replay_trace(t, lib, arch, d);
-      rec.deterministic &= run.config == rec.warm.config &&
-                           same_evictions(run.evictions, rec.warm.evictions);
+      identical &= run.config == rec.warm.config &&
+                   same_evictions(run.evictions, rec.warm.evictions);
     }
+    rec.verdict.check(identical, "identical",
+                      t.name + " replay differs across thread counts");
 
     rec.p50_ms = 1e3 * percentile(rec.warm.load_latencies, 0.50);
     rec.p99_ms = 1e3 * percentile(rec.warm.load_latencies, 0.99);
@@ -984,15 +941,38 @@ int main(int argc, char** argv) try {
         rec.warm.drain_seconds > 0
             ? static_cast<double>(t.events.size()) / rec.warm.drain_seconds
             : 0.0;
-    recs.push_back(std::move(rec));
+    suite.traces.push_back(std::move(rec));
   }
+
+  // The cache headline the bundled suite promises: a warm replay does >=
+  // 10x less devirtualization than a cold one. Smoke traces are too short
+  // to promise a fixed ratio; there the check is only that caching helps.
+  Totals& tot = suite.totals;
+  for (const TraceRecord& r : suite.traces) {
+    const Replay& w = r.warm;
+    tot.events += static_cast<long long>(r.trace.events.size());
+    tot.warm_nodes += w.stats.decode.nodes_expanded;
+    tot.cold_nodes += r.cold_nodes;
+    tot.evictions += w.stats.task_evictions;
+    tot.hits += w.cache_hits;
+    tot.lookups += w.cache_hits + w.cache_misses;
+    tot.seconds += w.drain_seconds;
+  }
+  tot.ratio = tot.warm_nodes > 0 ? static_cast<double>(tot.cold_nodes) /
+                                       static_cast<double>(tot.warm_nodes)
+                                 : 0.0;
+  tot.ratio_floor = smoke || args.value("--trace") ? 1.0 : 10.0;
+  tot.verdict.check(tot.ratio >= tot.ratio_floor, "decode_ratio_ok",
+                    "decode node ratio " + TablePrinter::fmt(tot.ratio) +
+                        " below " + TablePrinter::fmt(tot.ratio_floor, 1));
 
   // Overload legs: tenant 0 is the high-priority background workload,
   // tenant 1 the flood. Replayed at --threads and re-checked at 1 and 2:
   // statuses, tick latencies, sheds, retries and the final configuration
-  // must be byte-identical — the fault schedule is part of the model.
+  // must be byte-identical — the fault schedule is part of the model. The
+  // QoS promises: the flood is shed, the high-priority tenant never is,
+  // and its p99 stays at or below the flood's.
   const std::map<int, int> priorities = {{0, 10}, {1, 0}};
-  std::vector<OverloadRecord> over;
   for (const Trace& t : overload_traces) {
     OverloadRecord rec;
     rec.trace = t;
@@ -1001,66 +981,91 @@ int main(int argc, char** argv) try {
                 t.name.c_str(), t.events.size(), oopts.queue_limit,
                 oopts.deadline_ticks);
     rec.run = replay_trace(t, lib, arch, oopts, priorities);
-    rec.deterministic = true;
+    bool identical = true;
     for (const int threads : {1, 2}) {
       ServiceOptions d = oopts;
       d.threads = threads;
-      const Replay run = replay_trace(t, lib, arch, d, priorities);
-      rec.deterministic &= same_outcomes(run, rec.run);
+      identical &=
+          same_outcomes(replay_trace(t, lib, arch, d, priorities), rec.run);
     }
+    rec.verdict.check(identical, "determinism_ok",
+                      t.name + " overload replay differs across thread "
+                               "counts");
     for (const auto& [tenant, ticks] : rec.run.tenant_done_ticks) {
       rec.tick_percentiles[tenant] = {percentile(ticks, 0.50),
                                       percentile(ticks, 0.99)};
     }
-    over.push_back(std::move(rec));
+    const auto& ten = rec.run.tenants;
+    const bool both = ten.count(0) != 0 && ten.count(1) != 0;
+    rec.verdict.check(both, "qos_ok", t.name + " overload leg lacks a tenant");
+    if (both) {
+      const long long high_shed = ten.at(0).shed;
+      rec.verdict.check(high_shed == 0, "qos_ok",
+                        t.name + " shed " + TablePrinter::fmt_int(high_shed) +
+                            " high-priority requests");
+      rec.verdict.check(ten.at(1).shed != 0, "qos_ok",
+                        t.name + " overload leg never shed the flood");
+    }
+    const auto& pct = rec.tick_percentiles;
+    if (pct.count(0) != 0 && pct.count(1) != 0) {
+      const double p99_high = pct.at(0).second, p99_flood = pct.at(1).second;
+      rec.verdict.check(p99_high <= p99_flood, "qos_ok",
+                        t.name + " high-priority p99 " +
+                            TablePrinter::fmt(p99_high, 1) +
+                            " ticks above flood p99 " +
+                            TablePrinter::fmt(p99_flood, 1));
+    }
+    suite.overload.push_back(std::move(rec));
   }
 
   // Recovery legs: the overload traces once more, this time journaled,
   // then rebuilt from the journal directory alone. Journaling must not
   // perturb the replay and the cold recovery must fingerprint identically.
-  std::vector<RecoveryRecord> recov;
-  if (!overload_traces.empty()) {
-    namespace fs = std::filesystem;
-    const fs::path jroot =
-        fs::temp_directory_path() /
-        ("vbs_rtc_bench_" +
-         std::to_string(static_cast<long long>(::getpid())));
-    for (const Trace& t : overload_traces) {
-      RecoveryRecord rec;
-      rec.trace = t;
-      std::printf("replaying %-12s recovery leg (journaled, then cold "
-                  "recover)...\n",
-                  t.name.c_str());
-      const fs::path jdir = jroot / t.name;
-      fs::remove_all(jdir);
-      std::uint64_t fp_live = 0, fp_journaled = 0;
-      rec.baseline_seconds =
-          replay_trace(t, lib, arch, oopts, priorities, {}, &fp_live)
-              .drain_seconds;
-      rec.journaled_seconds =
-          replay_trace(t, lib, arch, oopts, priorities, jdir.string(),
-                       &fp_journaled)
-              .drain_seconds;
-      rec.journal_transparent = fp_journaled == fp_live;
-      const std::uint64_t t0 = telem::now_ns();
-      const std::unique_ptr<ReconfigService> back =
-          ReconfigService::recover(jdir.string(), oopts.threads, &rec.info);
-      rec.recover_seconds = telem::seconds_since(t0);
-      rec.replay_rps =
-          rec.recover_seconds > 0
-              ? static_cast<double>(rec.info.records) / rec.recover_seconds
-              : 0.0;
-      rec.fingerprint_ok = back->state_fingerprint() == fp_journaled;
-      recov.push_back(std::move(rec));
-    }
-    fs::remove_all(jroot);
+  namespace fs = std::filesystem;
+  const fs::path jroot =
+      fs::temp_directory_path() /
+      ("vbs_rtc_bench_" + std::to_string(static_cast<long long>(::getpid())));
+  for (const Trace& t : overload_traces) {
+    RecoveryRecord rec;
+    rec.trace = t;
+    std::printf("replaying %-12s recovery leg (journaled, then cold "
+                "recover)...\n",
+                t.name.c_str());
+    const fs::path jdir = jroot / t.name;
+    fs::remove_all(jdir);
+    std::uint64_t fp_live = 0, fp_journaled = 0;
+    rec.baseline_seconds =
+        replay_trace(t, lib, arch, oopts, priorities, {}, &fp_live)
+            .drain_seconds;
+    rec.journaled_seconds =
+        replay_trace(t, lib, arch, oopts, priorities, jdir.string(),
+                     &fp_journaled)
+            .drain_seconds;
+    rec.verdict.check(fp_journaled == fp_live, "journal_transparent",
+                      t.name + " journaled replay diverged from the "
+                               "unjournaled run");
+    const std::uint64_t t0 = telem::now_ns();
+    const std::unique_ptr<ReconfigService> back =
+        ReconfigService::recover(jdir.string(), oopts.threads, &rec.info);
+    rec.recover_seconds = telem::seconds_since(t0);
+    rec.replay_rps =
+        rec.recover_seconds > 0
+            ? static_cast<double>(rec.info.records) / rec.recover_seconds
+            : 0.0;
+    rec.verdict.check(back->state_fingerprint() == fp_journaled,
+                      "fingerprint_ok",
+                      t.name + " recovered fingerprint diverged from the "
+                               "journaled run");
+    suite.recovery.push_back(std::move(rec));
   }
+  fs::remove_all(jroot);
 
   // Latency-decomposition legs: everything traced so far moves to
   // all_events, then each overload trace replays once more with its own
-  // clean slice of the event buffer.
+  // clean slice of the event buffer. The span model is part of the bench
+  // contract: the tick identity must hold for every result, and the
+  // exported spans must be the same numbers TenantStats reports.
   std::vector<telem::TraceEvent> all_events = telem::take_trace();
-  std::vector<BreakdownRecord> breakdown;
   for (const Trace& t : overload_traces) {
     BreakdownRecord rec;
     rec.trace = t;
@@ -1068,8 +1073,12 @@ int main(int argc, char** argv) try {
                 t.name.c_str());
     rec.run = replay_trace(t, lib, arch, oopts, priorities);
     std::vector<telem::TraceEvent> ev = telem::take_trace();
-    rec.identity_ok = rec.run.tick_identity_ok;
-    rec.pairing_error = telem::check_event_pairing(ev);
+    rec.verdict.check(rec.run.tick_identity_ok, "identity_ok",
+                      t.name + " latency breakdown violates the tick "
+                               "identity");
+    const std::string pairing = telem::check_event_pairing(ev);
+    rec.verdict.check(pairing.empty(), "event_pairing_ok",
+                      t.name + " trace pairing: " + pairing);
     // Sum the modeled-tick spans per tenant lane: the parent "request"
     // spans and each phase span, in nanoseconds (1 tick == 1000 ns).
     std::map<std::uint64_t, long long> request_ns;
@@ -1082,160 +1091,95 @@ int main(int argc, char** argv) try {
         phase_ns[e.tid][e.name] += static_cast<long long>(e.dur_ns);
       }
     }
-    rec.spans_ok = true;
+    bool spans_ok = true;
     for (const auto& [tenant, ts] : rec.run.tenants) {
       const auto tid = static_cast<std::uint64_t>(tenant);
-      const auto phase = [&](const char* name) {
-        const auto it = phase_ns.find(tid);
-        if (it == phase_ns.end()) return 0LL;
-        const auto jt = it->second.find(name);
-        return jt == it->second.end() ? 0LL : jt->second;
-      };
-      rec.spans_ok &= request_ns[tid] == ts.latency_ticks * 1000 &&
-                      phase("queue_wait") == ts.queue_wait_ticks * 1000 &&
-                      phase("backoff") == ts.backoff_ticks * 1000 &&
-                      phase("spike") == ts.spike_ticks * 1000 &&
-                      phase("exec") == ts.exec_ticks * 1000;
+      std::map<std::string, long long>& phase = phase_ns[tid];
+      spans_ok &= request_ns[tid] == ts.latency_ticks * 1000 &&
+                  phase["queue_wait"] == ts.queue_wait_ticks * 1000 &&
+                  phase["backoff"] == ts.backoff_ticks * 1000 &&
+                  phase["spike"] == ts.spike_ticks * 1000 &&
+                  phase["exec"] == ts.exec_ticks * 1000;
     }
+    rec.verdict.check(spans_ok, "spans_match_stats",
+                      t.name + " trace spans diverge from the TenantStats "
+                               "breakdown");
     all_events.insert(all_events.end(), ev.begin(), ev.end());
-    breakdown.push_back(std::move(rec));
+    suite.breakdown.push_back(std::move(rec));
   }
 
-  // Networked legs: the same service behind the RPC front end on a
-  // loopback socket, hammered by the closed-loop load generator at
-  // --connections concurrent authenticated sessions.
-  const int connections =
-      static_cast<int>(args.int_or("--connections", smoke ? 32 : 256));
-  std::vector<ServerRecord> servers;
-  std::vector<ServerReplayRecord> server_replay;
-  if (!args.value("--trace")) {
-    TraceGenOptions gopts;
-    gopts.events = static_cast<int>(args.int_or("--events", smoke ? 64 : 220));
-    gopts.ticks = static_cast<int>(args.int_or("--ticks", smoke ? 16 : 48));
-    gopts.kinds = smoke ? 4 : 6;
-    gopts.seed = seed;
-    // The service behind the wire runs the overload admission policy
-    // (bounded queue + deadlines) but no model fault plan: the latency
-    // numbers measure the wire and the service, not injected faults.
-    ServiceOptions wopts = sopts;
-    wopts.queue_limit = oopts.queue_limit;
-    wopts.deadline_ticks = oopts.deadline_ticks;
-    for (const ArrivalPattern p :
-         {ArrivalPattern::kSteady, ArrivalPattern::kBursty,
-          ArrivalPattern::kFlashCrowd}) {
-      gopts.pattern = p;
-      const Trace t = generate_trace(gopts);
-      std::vector<BitVector> streams;
-      for (const TraceTaskKind& k : t.kinds) {
-        streams.push_back(lib.stream_for(k));
-      }
-      ServerRecord rec;
-      rec.trace = t;
-      rec.connections = connections;
-      std::printf("serving   %-12s to %d closed-loop connections "
-                  "(%zu events)...\n",
-                  t.name.c_str(), connections, t.events.size());
+  // The server-replay leg: the flash_crowd overload trace once more,
+  // through a *journaled* server via one admin session, fingerprinted
+  // against the offline replay and against a cold journal recovery. The
+  // served service runs the overload admission policy (bounded queue and
+  // deadlines) but no model fault plan.
+  if (!overload_traces.empty()) {
+    ServiceOptions wopts = oopts;
+    wopts.faults = FaultPlan{};
+    const Trace& t = overload_traces.front();
+    ServerReplayRecord rec;
+    rec.trace = t;
+    std::printf("replaying %-12s server-replay leg (journaled wire "
+                "replay vs offline)...\n",
+                t.name.c_str());
+    replay_trace(t, lib, arch, wopts, priorities, {}, &rec.offline_fp);
+
+    const fs::path jdir =
+        fs::temp_directory_path() /
+        ("vbs_rtc_bench_srv_" +
+         std::to_string(static_cast<long long>(::getpid())));
+    fs::remove_all(jdir);
+    {
       ReconfigService svc(arch, t.fabric_w, t.fabric_h, wopts);
-      rpc::RpcServer server(&svc, rpc::RpcServerOptions{});
+      svc.open_journal(jdir.string());
+      rpc::RpcServerOptions ropts;
+      ropts.auto_drain = false;  // drains only at the admin's barriers
+      rpc::RpcServer server(&svc, ropts);
       const int port = server.start();
-      rpc::LoadGenOptions lopts;
-      lopts.port = port;
-      lopts.connections = connections;
-      lopts.trace = t;
-      lopts.kind_streams = streams;
-      rec.report = rpc::run_loadgen(lopts);
+      const std::uint64_t t0 = telem::now_ns();
+      rec.wire_results =
+          admin_wire_replay(port, ropts.auth_seed, t, lib, priorities);
+      rec.wall_seconds = telem::seconds_since(t0);
       server.stop();
-      rec.counters = server.counters();
-      rec.p50_ms = percentile(rec.report.latencies_ms, 0.50);
-      rec.p99_ms = percentile(rec.report.latencies_ms, 0.99);
-      rec.shed_rate =
-          rec.report.results > 0
-              ? static_cast<double>(rec.report.shed) /
-                    static_cast<double>(rec.report.results)
-              : 0.0;
-      rec.throughput =
-          rec.report.wall_seconds > 0
-              ? static_cast<double>(rec.report.requests_sent) /
-                    rec.report.wall_seconds
-              : 0.0;
-      rec.accounted =
-          !rec.report.timed_out && rec.report.results > 0 &&
-          rec.report.results + rec.report.door_sheds +
-                  rec.report.wire_errors ==
-              rec.report.requests_sent;
-      servers.push_back(std::move(rec));
+      rec.wire_fp = svc.state_fingerprint();
     }
-
-    // The server-replay leg: the flash_crowd overload trace once more,
-    // through a *journaled* server via one admin session, fingerprinted
-    // against the offline replay and against a cold journal recovery.
-    if (!overload_traces.empty()) {
-      const Trace& t = overload_traces.front();
-      ServerReplayRecord rec;
-      rec.trace = t;
-      std::printf("replaying %-12s server-replay leg (journaled wire "
-                  "replay vs offline)...\n",
-                  t.name.c_str());
-      replay_trace(t, lib, arch, wopts, priorities, {}, &rec.offline_fp);
-
-      namespace fs = std::filesystem;
-      const fs::path jdir =
-          fs::temp_directory_path() /
-          ("vbs_rtc_bench_srv_" +
-           std::to_string(static_cast<long long>(::getpid())));
-      fs::remove_all(jdir);
-      {
-        ReconfigService svc(arch, t.fabric_w, t.fabric_h, wopts);
-        svc.open_journal(jdir.string());
-        rpc::RpcServerOptions ropts;
-        ropts.auto_drain = false;  // drains only at the admin's barriers
-        rpc::RpcServer server(&svc, ropts);
-        const int port = server.start();
-        const std::uint64_t t0 = telem::now_ns();
-        rec.wire_results =
-            admin_wire_replay(port, ropts.auth_seed, t, lib, priorities);
-        rec.wall_seconds = telem::seconds_since(t0);
-        server.stop();
-        rec.wire_fp = svc.state_fingerprint();
-      }
-      rec.recovered_fp =
-          ReconfigService::recover(jdir.string())->state_fingerprint();
-      fs::remove_all(jdir);
-      rec.wire_ok = rec.wire_fp == rec.offline_fp;
-      rec.recover_ok = rec.recovered_fp == rec.offline_fp;
-      server_replay.push_back(std::move(rec));
-    }
+    rec.recovered_fp =
+        ReconfigService::recover(jdir.string())->state_fingerprint();
+    fs::remove_all(jdir);
+    rec.verdict.check(rec.wire_fp == rec.offline_fp, "wire_matches_offline",
+                      t.name + " served fingerprint diverged from the "
+                               "offline replay");
+    rec.verdict.check(rec.recovered_fp == rec.offline_fp,
+                      "recover_matches_offline",
+                      t.name + " fingerprint recovered from the server "
+                               "journal diverged from the offline replay");
+    suite.server_replay.push_back(std::move(rec));
   }
 
+  const auto ok_cell = [](const Verdict& v) { return v.ok() ? "ok" : "FAIL"; };
   TablePrinter table({"trace", "events", "rps", "p50 ms", "p99 ms",
-                      "hit rate", "nodes w/c", "evict", "frag", "det"});
-  for (const TraceRecord& r : recs) {
-    const long long lookups = r.warm.cache_hits + r.warm.cache_misses;
+                      "hit rate", "nodes w/c", "evict", "frag", "ok"});
+  for (const TraceRecord& r : suite.traces) {
     table.add_row(
         {r.trace.name, TablePrinter::fmt_int(static_cast<long long>(
                            r.trace.events.size())),
          TablePrinter::fmt(r.throughput, 0), TablePrinter::fmt(r.p50_ms, 2),
-         TablePrinter::fmt(r.p99_ms, 2),
-         TablePrinter::fmt(lookups > 0 ? static_cast<double>(r.warm.cache_hits) /
-                                             static_cast<double>(lookups)
-                                       : 0.0,
-                           2),
+         TablePrinter::fmt(r.p99_ms, 2), TablePrinter::fmt(r.warm.hit_rate()),
          TablePrinter::fmt_int(r.warm.stats.decode.nodes_expanded) + "/" +
              TablePrinter::fmt_int(r.cold_nodes),
          TablePrinter::fmt_int(r.warm.stats.task_evictions),
-         TablePrinter::fmt(r.warm.frag_samples > 0
-                               ? r.warm.frag_sum / r.warm.frag_samples
-                               : 0.0,
-                           2),
-         r.deterministic && r.warm_equals_cold ? "ok" : "FAIL"});
+         TablePrinter::fmt(r.warm.frag_avg()), ok_cell(r.verdict)});
   }
   table.print();
+  std::printf("decode node ratio (cold/warm) %.2f, floor %.1f: %s\n",
+              tot.ratio, tot.ratio_floor, ok_cell(tot.verdict));
 
-  if (!over.empty()) {
+  if (!suite.overload.empty()) {
     std::printf("\noverload legs (latency in modeled ticks):\n");
     TablePrinter otable({"trace", "tenant", "prio", "submitted", "done",
-                         "shed", "deadline", "retries", "p50 t", "p99 t"});
-    for (const OverloadRecord& r : over) {
+                         "shed", "deadline", "retries", "p50 t", "p99 t",
+                         "ok"});
+    for (const OverloadRecord& r : suite.overload) {
       for (const auto& [tenant, ts] : r.run.tenants) {
         const auto pct = r.tick_percentiles.find(tenant);
         otable.add_row(
@@ -1249,18 +1193,19 @@ int main(int argc, char** argv) try {
                  pct != r.tick_percentiles.end() ? pct->second.first : 0.0, 1),
              TablePrinter::fmt(
                  pct != r.tick_percentiles.end() ? pct->second.second : 0.0,
-                 1)});
+                 1),
+             ok_cell(r.verdict)});
       }
     }
     otable.print();
   }
 
-  if (!recov.empty()) {
+  if (!suite.recovery.empty()) {
     std::printf("\nrecovery legs (journaled replay + cold recover):\n");
     TablePrinter rtable({"trace", "wal bytes", "records", "admits",
                          "commits", "jrnl ovh", "recover ms", "rec/s",
                          "ok"});
-    for (const RecoveryRecord& r : recov) {
+    for (const RecoveryRecord& r : suite.recovery) {
       rtable.add_row(
           {r.trace.name,
            TablePrinter::fmt_int(
@@ -1273,17 +1218,16 @@ int main(int argc, char** argv) try {
                                  : 0.0,
                              2),
            TablePrinter::fmt(1e3 * r.recover_seconds, 2),
-           TablePrinter::fmt(r.replay_rps, 0),
-           r.fingerprint_ok && r.journal_transparent ? "ok" : "FAIL"});
+           TablePrinter::fmt(r.replay_rps, 0), ok_cell(r.verdict)});
     }
     rtable.print();
   }
 
-  if (!breakdown.empty()) {
+  if (!suite.breakdown.empty()) {
     std::printf("\nlatency decomposition (per-tenant tick sums):\n");
     TablePrinter btable({"trace", "tenant", "latency", "queue", "backoff",
-                         "spike", "exec", "spans"});
-    for (const BreakdownRecord& r : breakdown) {
+                         "spike", "exec", "ok"});
+    for (const BreakdownRecord& r : suite.breakdown) {
       for (const auto& [tenant, ts] : r.run.tenants) {
         btable.add_row(
             {r.trace.name, TablePrinter::fmt_int(tenant),
@@ -1291,48 +1235,24 @@ int main(int argc, char** argv) try {
              TablePrinter::fmt_int(ts.queue_wait_ticks),
              TablePrinter::fmt_int(ts.backoff_ticks),
              TablePrinter::fmt_int(ts.spike_ticks),
-             TablePrinter::fmt_int(ts.exec_ticks),
-             r.identity_ok && r.spans_ok && r.pairing_error.empty()
-                 ? "ok"
-                 : "FAIL"});
+             TablePrinter::fmt_int(ts.exec_ticks), ok_cell(r.verdict)});
       }
     }
     btable.print();
   }
 
-  if (!servers.empty()) {
-    std::printf("\nnetworked legs (closed-loop loopback, wall latency):\n");
-    TablePrinter stable({"trace", "conns", "requests", "results", "done",
-                         "shed", "rps", "p50 ms", "p99 ms", "ok"});
-    for (const ServerRecord& r : servers) {
-      stable.add_row(
-          {r.trace.name, TablePrinter::fmt_int(r.connections),
-           TablePrinter::fmt_int(r.report.requests_sent),
-           TablePrinter::fmt_int(r.report.results),
-           TablePrinter::fmt_int(r.report.done),
-           TablePrinter::fmt_int(r.report.shed),
-           TablePrinter::fmt(r.throughput, 0),
-           TablePrinter::fmt(r.p50_ms, 2), TablePrinter::fmt(r.p99_ms, 2),
-           r.accounted ? "ok" : "FAIL"});
-    }
-    stable.print();
-  }
-
-  if (!server_replay.empty()) {
+  if (!suite.server_replay.empty()) {
     std::printf("\nserver-replay legs (wire vs offline fingerprints):\n");
-    TablePrinter srtable({"trace", "results", "wall s", "wire==offline",
-                          "recover==offline"});
-    for (const ServerReplayRecord& r : server_replay) {
+    TablePrinter srtable({"trace", "results", "wall s", "ok"});
+    for (const ServerReplayRecord& r : suite.server_replay) {
       srtable.add_row({r.trace.name, TablePrinter::fmt_int(r.wire_results),
                        TablePrinter::fmt(r.wall_seconds, 3),
-                       r.wire_ok ? "ok" : "FAIL",
-                       r.recover_ok ? "ok" : "FAIL"});
+                       ok_cell(r.verdict)});
     }
     srtable.print();
   }
 
-  write_json(out, recs, over, recov, breakdown, servers, server_replay,
-             smoke, sopts, oopts, seed);
+  write_json(out, suite, smoke, sopts, oopts, seed);
   std::printf("\nwrote %s\n", out.c_str());
 
   if (!trace_out.empty()) {
@@ -1346,161 +1266,35 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "%s\n", telem::snapshot().to_json(0).c_str());
   }
 
-  // Fail loudly: a nondeterministic replay or a cached commit that diverges
-  // from a fresh decode would invalidate every number above.
-  bool ok = true;
-  long long warm_nodes = 0, cold_nodes = 0;
-  for (const TraceRecord& r : recs) {
-    warm_nodes += r.warm.stats.decode.nodes_expanded;
-    cold_nodes += r.cold_nodes;
-    if (!r.deterministic) {
-      std::fprintf(stderr, "FAIL: %s replay differs across thread counts\n",
-                   r.trace.name.c_str());
-      ok = false;
+  // Fail loudly, from the same verdicts the JSON flags read.
+  const auto fail = [](const Verdict& v) {
+    for (const Failure& f : v.failures) {
+      std::fprintf(stderr, "FAIL: %s\n", f.reason.c_str());
     }
-    if (!r.warm_equals_cold) {
-      std::fprintf(stderr,
-                   "FAIL: %s warm (cached) config diverged from cold decode\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-  }
-  // The cache headline the bundled suite promises: a warm replay does >=
-  // 10x less devirtualization than a cold one. Smoke traces are too short
-  // to promise a fixed ratio; there the check is only that caching helps.
-  const double ratio = warm_nodes > 0 ? static_cast<double>(cold_nodes) /
-                                            static_cast<double>(warm_nodes)
-                                      : 0.0;
-  const double floor = smoke || args.value("--trace") ? 1.0 : 10.0;
-  if (ratio < floor) {
-    std::fprintf(stderr, "FAIL: decode node ratio %.2f below %.1f\n", ratio,
-                 floor);
-    ok = false;
-  }
-  // QoS promises of the overload legs: the flood is shed, the
-  // high-priority tenant never is, and its p99 stays at or below the
-  // flood's — all under an identical replay at every thread count.
-  for (const OverloadRecord& r : over) {
-    if (!r.deterministic) {
-      std::fprintf(stderr,
-                   "FAIL: %s overload replay differs across thread counts\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-    const auto t0 = r.run.tenants.find(0);
-    const auto t1 = r.run.tenants.find(1);
-    if (t0 == r.run.tenants.end() || t1 == r.run.tenants.end()) {
-      std::fprintf(stderr, "FAIL: %s overload leg missing a tenant\n",
-                   r.trace.name.c_str());
-      ok = false;
-      continue;
-    }
-    if (t0->second.shed != 0) {
-      std::fprintf(stderr, "FAIL: %s shed %lld high-priority requests\n",
-                   r.trace.name.c_str(), t0->second.shed);
-      ok = false;
-    }
-    if (t1->second.shed == 0) {
-      std::fprintf(stderr, "FAIL: %s overload leg never shed the flood\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-    const auto p0 = r.tick_percentiles.find(0);
-    const auto p1 = r.tick_percentiles.find(1);
-    if (p0 != r.tick_percentiles.end() && p1 != r.tick_percentiles.end() &&
-        p0->second.second > p1->second.second) {
-      std::fprintf(stderr,
-                   "FAIL: %s high-priority p99 %.1f ticks above flood p99 "
-                   "%.1f\n",
-                   r.trace.name.c_str(), p0->second.second, p1->second.second);
-      ok = false;
-    }
-  }
-  // The span model is part of the bench contract: the tick identity must
-  // hold for every result, and the exported spans must be the same numbers
-  // TenantStats reports.
-  for (const BreakdownRecord& r : breakdown) {
-    if (!r.identity_ok) {
-      std::fprintf(stderr,
-                   "FAIL: %s latency breakdown violates the tick identity\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-    if (!r.spans_ok) {
-      std::fprintf(stderr,
-                   "FAIL: %s trace spans diverge from the TenantStats "
-                   "breakdown\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-    if (!r.pairing_error.empty()) {
-      std::fprintf(stderr, "FAIL: %s trace pairing: %s\n",
-                   r.trace.name.c_str(), r.pairing_error.c_str());
-      ok = false;
-    }
-  }
-  // Promises of the networked legs: every request a closed-loop client
-  // sends is accounted for (RESULT, door shed, or typed error — nothing
-  // lost, nothing timed out), and the wire replay of a trace through a
-  // journaled server fingerprints identically to the offline replay,
-  // live and after a cold recovery.
-  for (const ServerRecord& r : servers) {
-    if (!r.accounted) {
-      std::fprintf(stderr,
-                   "FAIL: %s server leg lost requests (%lld sent, %lld "
-                   "results, %lld door sheds, %lld wire errors%s)\n",
-                   r.trace.name.c_str(), r.report.requests_sent,
-                   r.report.results, r.report.door_sheds,
-                   r.report.wire_errors,
-                   r.report.timed_out ? ", TIMED OUT" : "");
-      ok = false;
-    }
-  }
-  for (const ServerReplayRecord& r : server_replay) {
-    if (!r.wire_ok) {
-      std::fprintf(stderr,
-                   "FAIL: %s served fingerprint diverged from the offline "
-                   "replay\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-    if (!r.recover_ok) {
-      std::fprintf(stderr,
-                   "FAIL: %s fingerprint recovered from the server journal "
-                   "diverged from the offline replay\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-  }
-  // Durability promises of the recovery legs: attaching a journal is
-  // invisible to the model, and a service rebuilt from the journal alone
-  // is byte-identical to the one it replaces.
-  for (const RecoveryRecord& r : recov) {
-    if (!r.journal_transparent) {
-      std::fprintf(stderr, "FAIL: %s journaled replay diverged from the "
-                           "unjournaled run\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-    if (!r.fingerprint_ok) {
-      std::fprintf(stderr,
-                   "FAIL: %s recovered fingerprint diverged from the "
-                   "journaled run\n",
-                   r.trace.name.c_str());
-      ok = false;
-    }
-  }
-  return ok ? 0 : 1;
+  };
+  for (const TraceRecord& r : suite.traces) fail(r.verdict);
+  fail(tot.verdict);
+  for (const OverloadRecord& r : suite.overload) fail(r.verdict);
+  for (const RecoveryRecord& r : suite.recovery) fail(r.verdict);
+  for (const BreakdownRecord& r : suite.breakdown) fail(r.verdict);
+  for (const ServerReplayRecord& r : suite.server_replay) fail(r.verdict);
+  const auto flags = summary_flags(suite);
+  return std::all_of(flags.begin(), flags.end(),
+                     [](const auto& f) { return f.second; })
+             ? 0
+             : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr,
                "rtc_bench: %s\n"
                "usage: rtc_bench [--smoke] [--trace FILE] [--policy P] "
                "[--threads T] [--cache-bits N] [--events N] [--ticks K] "
                "[--seed S] [--no-evict] [--queue-limit N] [--deadline T] "
-               "[--faults SPEC] [--connections N] [--trace-out trace.json] "
-               "[--metrics] [--out PATH] [--json] "
-               "[--serve | --connect | --server-smoke] [--port N] "
-               "[--port-file F] [--auth-seed S] [--shutdown]\n",
+               "[--faults SPEC] [--trace-out trace.json] [--metrics] "
+               "[--out PATH] [--json]\n"
+               "       rtc_bench --serve | --connect | --server-smoke "
+               "[--port N] [--port-file F] [--auth-seed S] [--shutdown] "
+               "[--connections N] [--threads T] [--queue-limit N] "
+               "[--deadline T]\n",
                e.what());
   return 1;
 }

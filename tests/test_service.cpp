@@ -990,31 +990,51 @@ TEST(Service, GoldenStateFingerprint) {
 // The same replay, compacted before every drain whose queue is non-empty:
 // the snapshots then carry queued loads, unloads and relocates (with their
 // streams and tick accumulators), which the end-of-run compaction above
-// never sees. The trace never fills the queue to its limit, so every queued
-// shed flag is 0; retries are requeued and consumed within one drain, so no
-// snapshot holds one. Each snapshot must recover to the live fingerprint,
-// and the fingerprints and snapshot hashes of all compactions fold into one
-// pinned value per leg (recorded before the three state walks were merged
-// into one).
+// never sees. At the golden queue limit the trace never fills the queue, so
+// every queued shed flag is 0; the last leg shrinks the limit until loads
+// shed, so its snapshots also carry queued requests with shed = 1. Retries
+// are requeued and consumed within one drain, so no snapshot holds one.
+// Each snapshot must recover to the live fingerprint, and the fingerprints
+// and snapshot hashes of all compactions fold into one pinned value per leg
+// (the first two recorded before the three state walks were merged into
+// one).
 TEST(Service, GoldenQueuedSnapshots) {
   const GoldenRun run = golden_run();
   struct Golden {
     int threads;
+    std::size_t queue_limit;
+    int compactions;
+    int compactions_with_shed;  ///< a shed request was queued
+    std::uint64_t final_fp;
     std::uint64_t fingerprints;
     std::uint64_t snapshot_hashes;
   };
   const Golden legs[] = {
-      {1, 0x0bf8871b62fc6036ULL, 0x2d4ed7203f590c34ULL},
-      {4, 0x0bf8871b62fc6036ULL, 0xddadaae2c5ccf39eULL},
+      {1, 6, 22, 0, 0x0a2e04d8659ecca8ULL, 0x0bf8871b62fc6036ULL,
+       0x2d4ed7203f590c34ULL},
+      {4, 6, 22, 0, 0x0a2e04d8659ecca8ULL, 0x0bf8871b62fc6036ULL,
+       0xddadaae2c5ccf39eULL},
+      {1, 2, 22, 4, 0x0f369b4541c59df4ULL, 0xef2e8bcfff6f5951ULL,
+       0xcf9bd741affa6fa1ULL},
   };
   for (const Golden& g : legs) {
-    TempDir dir("golden_queued_" + std::to_string(g.threads));
+    const std::string leg = "threads=" + std::to_string(g.threads) +
+                            " queue_limit=" + std::to_string(g.queue_limit);
+    TempDir dir("golden_queued_" + std::to_string(g.threads) + "_" +
+                std::to_string(g.queue_limit));
+    ServiceOptions opts = run.opts;
+    opts.queue_limit = g.queue_limit;
     std::uint64_t fps = 0;
     std::uint64_t snapshot_hashes = 0;
     int compactions = 0;
+    int compactions_with_shed = 0;
+    long long shed_seen = 0;  // sheds happen at submit; the drain reports them
     std::uint64_t final_fp = 0;
-    replay(run.trace, run.streams, run.arch, g.threads, run.cache_bits,
-           run.opts, dir.path, &final_fp, {}, [&](ReconfigService& svc) {
+    replay(run.trace, run.streams, run.arch, g.threads, run.cache_bits, opts,
+           dir.path, &final_fp, {}, [&](ReconfigService& svc) {
+             const long long shed = svc.stats().shed;
+             const bool shed_queued = shed > shed_seen;
+             shed_seen = shed;
              if (svc.pending() == 0) return;
              svc.compact_journal();
              const std::uint64_t fp = svc.state_fingerprint();
@@ -1022,18 +1042,23 @@ TEST(Service, GoldenQueuedSnapshots) {
              snapshot_hashes =
                  hash_u64(snapshot_hashes, snapshot_hash_of(dir.path, fp));
              ++compactions;
+             if (shed_queued) ++compactions_with_shed;
              const auto recovered = ReconfigService::recover(dir.path);
              EXPECT_EQ(recovered->state_fingerprint(), fp);
              EXPECT_EQ(recovered->pending(), svc.pending());
            });
-    EXPECT_EQ(compactions, 22);
+    EXPECT_EQ(compactions, g.compactions) << leg;
+    EXPECT_EQ(compactions_with_shed, g.compactions_with_shed) << leg;
     // Compaction changes no state, and the last snapshot plus the WAL after
     // it recovers the end state.
-    EXPECT_EQ(final_fp, 0x0a2e04d8659ecca8ULL);
+    EXPECT_EQ(final_fp, g.final_fp) << leg;
     EXPECT_EQ(ReconfigService::recover(dir.path)->state_fingerprint(),
               final_fp);
-    EXPECT_EQ(fps, g.fingerprints) << "threads=" << g.threads;
-    EXPECT_EQ(snapshot_hashes, g.snapshot_hashes) << "threads=" << g.threads;
+    EXPECT_EQ(fps, g.fingerprints) << leg;
+    EXPECT_EQ(snapshot_hashes, g.snapshot_hashes) << leg;
+    if (g.queue_limit < run.opts.queue_limit) {
+      EXPECT_GT(compactions_with_shed, 0) << leg;
+    }
   }
 }
 

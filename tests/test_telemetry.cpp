@@ -113,7 +113,9 @@ TEST(Telemetry, HistogramBucketsCoverTheRealLine) {
     ASSERT_LT(b, telem::kHistBuckets);
     // Bucket i covers [floor(i), floor(i+1)); the clamp buckets at both
     // ends absorb the tails, so only the unclamped edge is promised.
-    if (b > 1) EXPECT_GE(v, telem::histogram_bucket_floor(b)) << v;
+    if (b > 1) {
+      EXPECT_GE(v, telem::histogram_bucket_floor(b)) << v;
+    }
     if (b < telem::kHistBuckets - 1) {
       EXPECT_LT(v, telem::histogram_bucket_floor(b + 1)) << v;
     }
